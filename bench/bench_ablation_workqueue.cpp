@@ -153,6 +153,8 @@ void emit_json() {
   if (out == nullptr) return;
   std::fprintf(out, "{\n");
   eardec::bench::json_stamp(out);
+  std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out, "  \"graph\": {\"n\": %u, \"m\": %u},\n  \"modes\": {\n",
                g.num_vertices(), g.num_edges());
   bool first = true;

@@ -84,17 +84,13 @@ DjidjevApsp::DjidjevApsp(const graph::Graph& g, std::uint32_t num_parts,
       units.push_back({p, parts_[p].vertices.size()});
     }
     hetero::WorkQueue queue(std::move(units));
+    const auto fn = [&](const hetero::WorkUnit& wu, unsigned worker) {
+      part_apsp(wu.id, worker);
+    };
     if (options.mode == core::ExecutionMode::Sequential) {
-      while (true) {
-        const auto batch = queue.take_light(1);
-        if (batch.empty()) break;
-        part_apsp(batch.front().id, 0);
-      }
+      hetero::run_on_caller(queue, hetero::Side::Cpu, 1, fn);
     } else {
-      hetero::run_cpu_only(queue, options.cpu_threads,
-                           [&](const hetero::WorkUnit& wu, unsigned worker) {
-                             part_apsp(wu.id, worker);
-                           });
+      hetero::run_cpu_only(queue, options.cpu_threads, fn);
     }
   }
 

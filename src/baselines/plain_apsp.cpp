@@ -57,29 +57,27 @@ DistanceMatrix plain_apsp(const Graph& g, const ApspOptions& options) {
     }
   };
 
+  hetero::WorkQueue queue(std::move(units));
   switch (options.mode) {
     case core::ExecutionMode::Sequential:
-      for (const auto& wu : units) cpu_fn(wu, 0);
+      hetero::run_on_caller(queue, hetero::Side::Cpu, options.cpu_batch,
+                            cpu_fn);
       break;
-    case core::ExecutionMode::Multicore: {
-      hetero::WorkQueue queue(std::move(units));
+    case core::ExecutionMode::Multicore:
       hetero::run_cpu_only(queue, options.cpu_threads, cpu_fn,
                            options.cpu_batch);
       break;
-    }
-    case core::ExecutionMode::DeviceOnly: {
-      for (const auto& wu : units) device_fn(wu, 0);
+    case core::ExecutionMode::DeviceOnly:
+      hetero::run_on_caller(queue, hetero::Side::Device,
+                            options.device_batch, device_fn);
       break;
-    }
-    case core::ExecutionMode::Heterogeneous: {
-      hetero::WorkQueue queue(std::move(units));
+    case core::ExecutionMode::Heterogeneous:
       hetero::run_heterogeneous(queue,
                                 {.cpu_threads = options.cpu_threads,
                                  .cpu_batch = options.cpu_batch,
                                  .device_batch = options.device_batch},
                                 cpu_fn, device_fn);
       break;
-    }
   }
   return dist;
 }

@@ -9,9 +9,7 @@
 #include "connectivity/dfs.hpp"
 #include "obs/phase.hpp"
 #include "obs/pmu.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/frontier_sssp.hpp"
 #include "sssp/multi_source.hpp"
 
 namespace eardec::core {
@@ -131,10 +129,12 @@ struct EarApspEngine::Impl {
   }
 
   // Phase I: per-component chain contraction, parallel across components.
-  // Vertices whose *global* degree differs from their in-component degree
-  // (articulation points, self-loop endpoints) are pinned so
-  // cross-component routing stays exact. Also materializes the per-vertex
-  // exit cache that phase III and every query read.
+  // Every degree-two vertex of a block is contracted, articulation points
+  // included: a contracted articulation point is reached through its
+  // chain's left/right exits like any other chain interior, so routing
+  // through it stays exact. Without ear reduction every vertex is kept
+  // (the BCC-only decomposition). Also materializes the per-vertex exit
+  // cache that phase III and every query read.
   void reduce_components() {
     obs::ScopedPhase phase(timings.reduce, "apsp.reduce",
                            "apsp.phase.reduce_s");
@@ -142,14 +142,10 @@ struct EarApspEngine::Impl {
     exits.resize(views.size());
     parallel_over(views.size(), [&](std::size_t c) {
       const auto& view = views[c];
-      std::vector<bool> keep(view.graph.num_vertices(),
-                             !opts.use_ear_reduction);
-      if (opts.use_ear_reduction) {
-        for (VertexId l = 0; l < view.graph.num_vertices(); ++l) {
-          keep[l] = g.degree(view.to_parent[l]) != view.graph.degree(l);
-        }
-      }
-      built[c].emplace(view.graph, reduce::ReduceMode::ForApsp, &keep);
+      const std::vector<bool> keep_all(
+          opts.use_ear_reduction ? 0 : view.graph.num_vertices(), true);
+      built[c].emplace(view.graph, reduce::ReduceMode::ForApsp,
+                       opts.use_ear_reduction ? nullptr : &keep_all);
       exits[c].resize(view.graph.num_vertices());
       for (VertexId l = 0; l < view.graph.num_vertices(); ++l) {
         exits[c][l] = exits_of(*built[c], l);
@@ -161,8 +157,9 @@ struct EarApspEngine::Impl {
 
   // Phase II: APSP over every reduced graph. Work units are blocks of
   // sources of one component, sized by component for the sorted queue.
-  // Every worker thread owns one pre-sized workspace (largest reduced
-  // component), so the drain performs no per-unit allocation.
+  // Every CPU worker and every device block id owns one pre-sized
+  // workspace (largest reduced component), so the drain performs no
+  // per-unit allocation.
   void process() {
     obs::ScopedPhase phase(timings.process, "apsp.process",
                            "apsp.phase.process_s");
@@ -192,7 +189,7 @@ struct EarApspEngine::Impl {
     std::vector<sssp::DijkstraWorkspace> cpu_ws(cpu_workers);
     for (auto& ws : cpu_ws) ws.ensure(max_nr);
     // The batched kernel processes at most kMaxSourceLanes sources per
-    // sweep; wider units are split into lane-block passes inside cpu_fn.
+    // sweep; wider source ranges are split into lane-block passes.
     const std::uint32_t ms_lanes =
         std::min<std::uint32_t>(std::max<std::uint32_t>(
                                     opts.sources_per_unit, 1),
@@ -202,15 +199,11 @@ struct EarApspEngine::Impl {
       ms_ws.resize(cpu_workers);
       for (auto& ws : ms_ws) ws.ensure(max_nr, ms_lanes);
     }
-    sssp::FrontierWorkspace device_ws;  // single device driver thread
-    sssp::DeltaSteppingWorkspace device_delta_ws;
-    if (device) {
-      if (opts.device_kernel == DeviceSsspKernel::Frontier) {
-        device_ws.ensure(max_nr);
-      } else {
-        device_delta_ws.ensure(max_nr);
-      }
-    }
+    // One device workspace per block id: the single driver thread issues
+    // one grid at a time, so a block id is never live twice.
+    std::vector<sssp::MultiSourceWorkspace> device_ws(
+        device ? std::max(1u, device->config().workers) : 0);
+    for (auto& ws : device_ws) ws.ensure(max_nr, ms_lanes);
 
     const auto use_multi_source = [this](VertexId width, VertexId nr) {
       switch (opts.cpu_kernel) {
@@ -224,17 +217,21 @@ struct EarApspEngine::Impl {
       }
       return false;
     };
+    const auto multi_source = [&](sssp::MultiSourceWorkspace& ws,
+                                  const Unit& u, VertexId begin,
+                                  VertexId end) {
+      for (VertexId s = begin; s < end; s += ms_lanes) {
+        ws.distances(reduced[u.comp].graph(), s,
+                     std::min<VertexId>(s + ms_lanes, end), rtables[u.comp]);
+      }
+    };
 
     const auto cpu_fn = [&](const hetero::WorkUnit& wu, unsigned worker) {
       EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
       if (use_multi_source(u.src_end - u.src_begin, rg.num_vertices())) {
-        sssp::MultiSourceWorkspace& ws = ms_ws[worker];
-        for (VertexId s = u.src_begin; s < u.src_end; s += ms_lanes) {
-          ws.distances(rg, s, std::min<VertexId>(s + ms_lanes, u.src_end),
-                       rtables[u.comp]);
-        }
+        multi_source(ms_ws[worker], u, u.src_begin, u.src_end);
       } else {
         sssp::DijkstraWorkspace& ws = cpu_ws[worker];
         for (VertexId s = u.src_begin; s < u.src_end; ++s) {
@@ -242,44 +239,38 @@ struct EarApspEngine::Impl {
         }
       }
     };
+    // The device runs the multi-source GPU APSP formulation: one
+    // cooperative block per contiguous slice of the unit's sources, lanes
+    // = sources, frontier Bellman-Ford relaxation inside the block
+    // (Okuyama, Ino, Hagihara 2008). The slices go out as one grid.
     const auto device_fn = [&](const hetero::WorkUnit& wu, unsigned) {
       EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
-      const Graph& rg = reduced[u.comp].graph();
-      for (VertexId s = u.src_begin; s < u.src_end; ++s) {
-        if (opts.device_kernel == DeviceSsspKernel::DeltaStepping) {
-          device_delta_ws.distances(rg, s, rtables[u.comp].row(s), 0,
-                                    nullptr, &*device);
-        } else {
-          device_ws.distances(rg, s, *device, rtables[u.comp].row(s));
-        }
-      }
+      const VertexId width = u.src_end - u.src_begin;
+      const auto blocks = std::min<VertexId>(
+          static_cast<VertexId>(device_ws.size()), width);
+      device->launch_blocks(blocks, 0, [&](hetero::Device::Block& block) {
+        const auto b = static_cast<VertexId>(block.id());
+        multi_source(device_ws[b], u, u.src_begin + width * b / blocks,
+                     u.src_begin + width * (b + 1) / blocks);
+      });
     };
 
+    hetero::WorkQueue queue(std::move(queue_units));
     switch (opts.mode) {
-      case ExecutionMode::Sequential: {
-        for (const auto& qu : queue_units) cpu_fn(qu, 0);
-        sched_stats.cpu_units += queue_units.size();
+      case ExecutionMode::Sequential:
+        sched_stats = hetero::run_on_caller(queue, hetero::Side::Cpu,
+                                            opts.cpu_batch, cpu_fn);
         break;
-      }
-      case ExecutionMode::Multicore: {
-        hetero::WorkQueue queue(std::move(queue_units));
+      case ExecutionMode::Multicore:
         sched_stats = hetero::run_cpu_only(queue, opts.cpu_threads, cpu_fn,
                                            opts.cpu_batch);
         break;
-      }
-      case ExecutionMode::DeviceOnly: {
-        hetero::WorkQueue queue(std::move(queue_units));
-        while (true) {
-          const auto batch = queue.take_heavy(opts.device_batch);
-          if (batch.empty()) break;
-          for (const auto& wu : batch) device_fn(wu, 0);
-          sched_stats.device_units += batch.size();
-        }
+      case ExecutionMode::DeviceOnly:
+        sched_stats = hetero::run_on_caller(queue, hetero::Side::Device,
+                                            opts.device_batch, device_fn);
         break;
-      }
-      case ExecutionMode::Heterogeneous: {
-        hetero::WorkQueue queue(std::move(queue_units));
+      case ExecutionMode::Heterogeneous:
         sched_stats = hetero::run_heterogeneous(
             queue,
             {.cpu_threads = opts.cpu_threads,
@@ -287,7 +278,6 @@ struct EarApspEngine::Impl {
              .device_batch = opts.device_batch},
             cpu_fn, device_fn);
         break;
-      }
     }
   }
 

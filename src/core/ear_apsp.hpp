@@ -2,12 +2,16 @@
 //
 // Pipeline (general graphs, Section 2.2):
 //   Phase 0  split G into biconnected components; build the block-cut tree.
-//   Phase I  per component: contract degree-two chains -> reduced graph G^r_i
-//            (paper: "Reduce(G)", executed on the device).
+//   Phase I  per component: contract every maximal degree-two chain ->
+//            reduced graph G^r_i (paper: "Reduce(G)", executed on the
+//            device). Degree is the in-block degree, so articulation points
+//            of in-block degree two are contracted too; they are reached
+//            through their chain's left/right anchors like any interior.
 //   Phase II per component: all-pairs shortest paths on G^r_i, one SSSP per
 //            reduced vertex, scheduled heterogeneously through the work
-//            queue (CPU threads run Dijkstra; the device runs the frontier
-//            kernel).
+//            queue (CPU threads run Dijkstra or the batched multi-source
+//            kernel; the device runs the multi-source kernel as one
+//            cooperative block per slice of a unit's sources).
 //   Phase III Stage 1: extend S^r_i to the full per-component table A_i with
 //            the closed-form left/right formulas (UPDATE_DISTANCE).
 //            Stage 2: articulation-point table A over the block-cut tree;
@@ -50,7 +54,7 @@ using sssp::DistanceMatrix;
 enum class ExecutionMode {
   Sequential,     ///< one thread, no device
   Multicore,      ///< CPU thread pool only
-  DeviceOnly,     ///< frontier kernels on the software device only
+  DeviceOnly,     ///< batched kernels on the software device only
   Heterogeneous,  ///< work queue drained by CPU threads + device (paper mode)
 };
 
@@ -62,14 +66,6 @@ enum class CpuSsspKernel {
   Auto,
   Dijkstra,     ///< per-source binary heap (the paper's baseline)
   MultiSource,  ///< k-lane batched label-correcting kernel
-};
-
-/// Which bulk kernel the phase-II device driver runs.
-enum class DeviceSsspKernel {
-  /// Bucketed delta-stepping whose light-edge rounds launch frontier
-  /// slices as bulk device work — real per-level parallelism.
-  DeltaStepping,
-  Frontier,  ///< Harish–Narayanan level-synchronous kernel
 };
 
 struct ApspOptions {
@@ -84,10 +80,10 @@ struct ApspOptions {
   std::uint32_t sources_per_unit = 16;
   std::size_t cpu_batch = 1;
   std::size_t device_batch = 4;
-  /// Phase-II kernel selection. Every kernel produces bit-identical
-  /// distances (see docs/sssp_perf.md); these pick throughput per shape.
+  /// Phase-II CPU kernel selection. Every kernel produces bit-identical
+  /// distances (see docs/sssp_perf.md); this picks throughput per shape.
+  /// The device always runs the batched multi-source kernel.
   CpuSsspKernel cpu_kernel = CpuSsspKernel::Auto;
-  DeviceSsspKernel device_kernel = DeviceSsspKernel::DeltaStepping;
 };
 
 /// Wall-clock seconds per phase, for the benches.

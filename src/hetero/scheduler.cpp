@@ -95,6 +95,30 @@ void publish_stats(const SchedulerStats& stats) {
   utilization.set(stats.utilization());
 }
 
+/// Times one drain around `run`, which fills the per-worker counters of
+/// `stats`; then fills the totals from them and publishes the result.
+template <typename Run>
+SchedulerStats timed_drain(WorkQueue& queue, SchedulerStats stats,
+                           const Run& run) {
+  const std::uint64_t contention_before = queue.contention_events();
+  const std::uint64_t t0 = obs::Tracer::now_ns();
+  {
+    EARDEC_TRACE_SCOPE("hetero.drain", "units", queue.remaining());
+    run(stats);
+  }
+  stats.elapsed_seconds =
+      static_cast<double>(obs::Tracer::now_ns() - t0) * 1e-9;
+  for (const WorkerStats& w : stats.cpu_workers) {
+    stats.cpu_units += w.units;
+    stats.cpu_claims += w.claims;
+  }
+  stats.device_units = stats.device_worker.units;
+  stats.device_claims = stats.device_worker.claims;
+  stats.queue_contention = queue.contention_events() - contention_before;
+  publish_stats(stats);
+  return stats;
+}
+
 }  // namespace
 
 double SchedulerStats::utilization() const {
@@ -140,13 +164,10 @@ SchedulerStats run_heterogeneous(WorkQueue& queue,
                                  const SchedulerConfig& config,
                                  const UnitFn& cpu_fn,
                                  const UnitFn& device_fn) {
-  SchedulerStats stats;
   const unsigned cpu_threads = std::max(1u, config.cpu_threads);
-  stats.cpu_workers.resize(cpu_threads);
-  const std::uint64_t contention_before = queue.contention_events();
-  const std::uint64_t t0 = obs::Tracer::now_ns();
-  {
-    EARDEC_TRACE_SCOPE("hetero.drain", "units", queue.remaining());
+  SchedulerStats init;
+  init.cpu_workers.resize(cpu_threads);
+  return timed_drain(queue, std::move(init), [&](SchedulerStats& stats) {
     std::vector<std::jthread> threads;
     threads.reserve(cpu_threads + 1);
 
@@ -172,30 +193,15 @@ SchedulerStats run_heterogeneous(WorkQueue& queue,
                                      cpu_fn, t);
       });
     }
-  }  // jthreads join here
-
-  stats.elapsed_seconds =
-      static_cast<double>(obs::Tracer::now_ns() - t0) * 1e-9;
-  for (const WorkerStats& w : stats.cpu_workers) {
-    stats.cpu_units += w.units;
-    stats.cpu_claims += w.claims;
-  }
-  stats.device_units = stats.device_worker.units;
-  stats.device_claims = stats.device_worker.claims;
-  stats.queue_contention = queue.contention_events() - contention_before;
-  publish_stats(stats);
-  return stats;
+  });  // jthreads join here
 }
 
 SchedulerStats run_cpu_only(WorkQueue& queue, unsigned threads,
                             const UnitFn& fn, std::size_t cpu_batch) {
-  SchedulerStats stats;
   const unsigned count = std::max(1u, threads);
-  stats.cpu_workers.resize(count);
-  const std::uint64_t contention_before = queue.contention_events();
-  const std::uint64_t t0 = obs::Tracer::now_ns();
-  {
-    EARDEC_TRACE_SCOPE("hetero.drain", "units", queue.remaining());
+  SchedulerStats init;
+  init.cpu_workers.resize(count);
+  return timed_drain(queue, std::move(init), [&](SchedulerStats& stats) {
     std::vector<std::jthread> workers;
     workers.reserve(count);
     for (unsigned t = 0; t < count; ++t) {
@@ -205,16 +211,20 @@ SchedulerStats run_cpu_only(WorkQueue& queue, unsigned threads,
                                      SchedulerConfig{}.max_batch, fn, t);
       });
     }
-  }
-  stats.elapsed_seconds =
-      static_cast<double>(obs::Tracer::now_ns() - t0) * 1e-9;
-  for (const WorkerStats& w : stats.cpu_workers) {
-    stats.cpu_units += w.units;
-    stats.cpu_claims += w.claims;
-  }
-  stats.queue_contention = queue.contention_events() - contention_before;
-  publish_stats(stats);
-  return stats;
+  });
+}
+
+SchedulerStats run_on_caller(WorkQueue& queue, Side side, std::size_t batch,
+                             const UnitFn& fn) {
+  return timed_drain(queue, {}, [&](SchedulerStats& stats) {
+    if (side == Side::Device) {
+      stats.device_worker =
+          drain(queue, /*heavy=*/true, 1, batch, batch, fn, 0);
+    } else {
+      stats.cpu_workers = {drain(queue, /*heavy=*/false, 1, batch,
+                                 SchedulerConfig{}.max_batch, fn, 0)};
+    }
+  });
 }
 
 }  // namespace eardec::hetero

@@ -77,7 +77,7 @@ struct SchedulerStats {
   std::uint64_t device_claims = 0;
   /// CAS retries observed by the queue during the drain (claim contention).
   std::uint64_t queue_contention = 0;
-  /// Wall clock of the whole drain (0 when not measured, e.g. sequential).
+  /// Wall clock of the whole drain.
   double elapsed_seconds = 0;
   std::vector<WorkerStats> cpu_workers;  ///< one entry per CPU worker
   WorkerStats device_worker;
@@ -107,6 +107,17 @@ SchedulerStats run_heterogeneous(WorkQueue& queue,
                                  const SchedulerConfig& config,
                                  const UnitFn& cpu_fn,
                                  const UnitFn& device_fn);
+
+/// The worker a single-worker drain acts as: a CPU worker claims light
+/// units (guided growth from `batch`), the device driver exactly `batch`
+/// heavy ones.
+enum class Side { Cpu, Device };
+
+/// Drains the queue on the calling thread as one worker of `side` — the
+/// Sequential and DeviceOnly modes — with the same stats as the threaded
+/// drains.
+SchedulerStats run_on_caller(WorkQueue& queue, Side side, std::size_t batch,
+                             const UnitFn& fn);
 
 /// Convenience: CPU-only drain of the queue with `threads` workers, each
 /// claiming at least `cpu_batch` units per grab (grown adaptively while the

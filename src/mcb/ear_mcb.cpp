@@ -132,11 +132,7 @@ McbResult minimum_cycle_basis(const Graph& g, const McbOptions& options_in) {
         hetero::run_cpu_only(queue, options.cpu_threads, cpu_fn);
         break;
       case ExecutionMode::DeviceOnly:
-        while (true) {
-          const auto batch = queue.take_heavy(1);
-          if (batch.empty()) break;
-          device_fn(batch.front(), 0);
-        }
+        hetero::run_on_caller(queue, hetero::Side::Device, 1, device_fn);
         break;
       case ExecutionMode::Heterogeneous:
         hetero::run_heterogeneous(queue,

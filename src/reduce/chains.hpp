@@ -74,9 +74,11 @@ struct ChainSet {
 /// self-loop are treated as anchors (never removed). O(n + m).
 ///
 /// `force_keep` (optional, size n) marks extra anchors: vertices that must
-/// never be contracted even at degree two. The per-component APSP pipeline
-/// uses it to pin articulation points and other vertices whose *global*
-/// degree exceeds their degree inside the component subgraph.
+/// never be contracted even at degree two. The APSP pipeline passes an
+/// all-true mask only when ear reduction is off (the BCC-only Banerjee
+/// baseline and the w/o-ear ablation). With reduction on it passes none:
+/// articulation points of in-block degree two are contracted like any
+/// other degree-two vertex and reached through their chain's anchors.
 [[nodiscard]] ChainSet find_chains(const Graph& g,
                                    const std::vector<bool>* force_keep = nullptr);
 

@@ -4,6 +4,8 @@
 // execution modes, and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 
 #include "connectivity/tree_lca.hpp"
@@ -209,10 +211,10 @@ TEST(EarApsp, SelfLoopPseudoBlockDoesNotBreakRouting) {
                           {.mode = ExecutionMode::Sequential});
 }
 
-TEST(EarApsp, ArticulationPointWithLocalDegreeTwoIsKept) {
-  // Vertex 2 has degree 2 inside each triangle but global degree 4: it must
-  // be pinned in both components' reduced graphs or cross-block routing
-  // breaks. Chains around it still contract.
+TEST(EarApsp, ArticulationPointWithLocalDegreeTwoIsContracted) {
+  // Vertex 2 has degree 2 inside each cycle block but global degree 4. It is
+  // contracted like any degree-two vertex; cross-block routing reaches it
+  // through its chain's anchors and stays exact.
   Builder b(8);
   // Triangle-ish block A with a chain: 0 - 5 - 1 - 2, 2 - 0.
   b.add_edge(0, 5, 1.0);
@@ -228,7 +230,6 @@ TEST(EarApsp, ArticulationPointWithLocalDegreeTwoIsKept) {
   b.add_edge(0, 7, 2.0);
   const Graph g = std::move(b).build();
   const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-  // Sanity on the structural claim: 2 is an AP kept in the reduced graphs.
   EXPECT_TRUE(oracle.engine().bcc().is_articulation[2]);
   expect_matches_dijkstra(g, {.mode = ExecutionMode::Sequential});
 }
@@ -290,6 +291,105 @@ TEST_P(ExecutionModeTest, AllModesAgreeWithDijkstra) {
                          .device = {.workers = 2, .warp_size = 8},
                          .sources_per_unit = 4};
   expect_matches_dijkstra(g, opts);
+}
+
+// A cactus: cycles sharing single vertices (articulation points of
+// in-block degree two), a pendant path, a 2-vertex block of parallel edges
+// and a self-loop on an articulation point. Dyadic weights keep every sum
+// exact, so the answers must equal Dijkstra's bit for bit.
+Graph cactus_graph() {
+  Builder b(15);
+  // Cycle A: 0-1-10-2-0; articulation point 10.
+  b.add_edge(0, 1, 1.5);
+  b.add_edge(1, 10, 2.0);
+  b.add_edge(10, 2, 0.5);
+  b.add_edge(2, 0, 3.0);
+  // Cycle B: 10-3-11-4-10; articulation points 10 and 11.
+  b.add_edge(10, 3, 1.0);
+  b.add_edge(3, 11, 2.5);
+  b.add_edge(11, 4, 1.0);
+  b.add_edge(4, 10, 4.0);
+  // Cycle C: 11-5-12-6-11; articulation points 11 and 12.
+  b.add_edge(11, 5, 0.5);
+  b.add_edge(5, 12, 1.0);
+  b.add_edge(12, 6, 2.0);
+  b.add_edge(6, 11, 0.25);
+  b.add_edge(11, 11, 7.0);  // self-loop on an articulation point
+  // Pendant path 12-13-7-8.
+  b.add_edge(12, 13, 1.0);
+  b.add_edge(13, 7, 2.0);
+  b.add_edge(7, 8, 0.75);
+  // 2-vertex block of parallel edges 8=14, and 14-9 beyond it.
+  b.add_edge(8, 14, 3.0);
+  b.add_edge(8, 14, 1.25);
+  b.add_edge(14, 9, 1.0);
+  return std::move(b).build();
+}
+
+TEST_P(ExecutionModeTest, CactusArticulationPointsContractedAndExact) {
+  const Graph g = cactus_graph();
+  const ApspOptions opts{.mode = GetParam(),
+                         .cpu_threads = 3,
+                         .device = {.workers = 2, .warp_size = 8},
+                         .sources_per_unit = 4};
+  const DistanceOracle oracle(g, opts);
+  const EarApsp full(g, opts);
+
+  // Every articulation point of in-block degree two is a chain interior,
+  // except the one anchor a pure-cycle block designates.
+  const EarApspEngine& eng = oracle.engine();
+  std::size_t contracted = 0;
+  for (std::uint32_t c = 0; c < eng.num_components(); ++c) {
+    const auto& view = eng.component(c);
+    const reduce::ReducedGraph& r = eng.reduced(c);
+    const auto& chains = r.chains().chains;
+    for (graph::VertexId l = 0; l < view.graph.num_vertices(); ++l) {
+      const graph::VertexId v = view.to_parent[l];
+      const auto adj = view.graph.neighbors(l);
+      const bool looped = std::any_of(
+          adj.begin(), adj.end(), [l](const auto& he) { return he.to == l; });
+      if (!eng.bcc().is_articulation[v] || view.graph.degree(l) != 2 ||
+          looped) {
+        continue;
+      }
+      const bool cycle_anchor =
+          chains.size() == 1 && chains[0].is_cycle() && chains[0].left == l;
+      EXPECT_TRUE(!r.kept(l) || cycle_anchor)
+          << "articulation point " << v << " kept in block " << c;
+      if (!r.kept(l)) ++contracted;
+    }
+  }
+  EXPECT_GE(contracted, 3u);
+
+  for (graph::VertexId s = 0; s < g.num_vertices(); ++s) {
+    const auto ref = sssp::dijkstra(g, s);
+    for (graph::VertexId t = 0; t < g.num_vertices(); ++t) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle.distance(s, t)),
+                std::bit_cast<std::uint64_t>(ref.dist[t]))
+          << "oracle pair " << s << "," << t;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(full.distance(s, t)),
+                std::bit_cast<std::uint64_t>(ref.dist[t]))
+          << "EarApsp pair " << s << "," << t;
+    }
+  }
+}
+
+TEST_P(ExecutionModeTest, SchedulerStatsRecordTheDrain) {
+  // Every mode, the single-worker ones included, reports the drain's wall
+  // clock, busy time and claims, so utilization() is meaningful.
+  const Graph g = gen::subdivide(gen::random_biconnected(30, 60, 3), 40, 4);
+  const DistanceOracle oracle(g, {.mode = GetParam(),
+                                  .cpu_threads = 2,
+                                  .device = {.workers = 2, .warp_size = 8},
+                                  .sources_per_unit = 4});
+  const hetero::SchedulerStats st = oracle.engine().scheduler_stats();
+  double busy = st.device_worker.busy_seconds;
+  for (const auto& w : st.cpu_workers) busy += w.busy_seconds;
+  EXPECT_GT(st.elapsed_seconds, 0.0);
+  EXPECT_GT(busy, 0.0);
+  EXPECT_GT(st.cpu_claims + st.device_claims, 0u);
+  EXPECT_GT(st.cpu_units + st.device_units, 0u);
+  EXPECT_GT(st.utilization(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ExecutionModeTest,

@@ -1,11 +1,15 @@
 // Scheduler-path tests for the batched phase-II kernels (labelled hetero:
 // CI re-runs this suite under ThreadSanitizer). The k-lane multi-source
-// kernel and the delta-stepping device path must produce the same matrix
-// as the Sequential/Dijkstra pipeline when driven through the work queue.
+// kernel — on CPU workers and split into device blocks — must produce the
+// same matrix as the Sequential/Dijkstra pipeline when driven through the
+// work queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/ear_apsp.hpp"
@@ -35,16 +39,29 @@ Graph blocky_graph(std::uint64_t seed) {
 }
 
 sssp::DistanceMatrix matrix_for(const Graph& g, ExecutionMode mode,
-                                CpuSsspKernel cpu, DeviceSsspKernel device,
-                                std::uint32_t sources_per_unit) {
+                                CpuSsspKernel cpu,
+                                std::uint32_t sources_per_unit,
+                                unsigned device_workers = 2) {
   ApspOptions opts;
   opts.mode = mode;
   opts.cpu_threads = 3;
-  opts.device = {.workers = 2, .warp_size = 4};
+  opts.device = {.workers = device_workers, .warp_size = 4};
   opts.cpu_kernel = cpu;
-  opts.device_kernel = device;
   opts.sources_per_unit = sources_per_unit;
   return ear_apsp_matrix(g, opts);
+}
+
+void expect_bitwise_equal(const sssp::DistanceMatrix& got,
+                          const sssp::DistanceMatrix& ref,
+                          const std::string& label) {
+  ASSERT_EQ(got.size(), ref.size()) << label;
+  for (VertexId u = 0; u < ref.size(); ++u) {
+    for (VertexId v = 0; v < ref.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at(u, v)),
+                std::bit_cast<std::uint64_t>(ref.at(u, v)))
+          << label << " pair " << u << "," << v;
+    }
+  }
 }
 
 class MultiSourceSchedulerTest
@@ -53,41 +70,58 @@ class MultiSourceSchedulerTest
 TEST_P(MultiSourceSchedulerTest, ForcedMultiSourceMatchesSequentialDijkstra) {
   const Graph g = blocky_graph(GetParam());
   const auto ref = matrix_for(g, ExecutionMode::Sequential,
-                              CpuSsspKernel::Dijkstra,
-                              DeviceSsspKernel::Frontier, 16);
+                              CpuSsspKernel::Dijkstra, 16);
   for (const std::uint32_t k : {1u, 4u, 16u}) {
-    const auto got = matrix_for(g, ExecutionMode::Multicore,
-                                CpuSsspKernel::MultiSource,
-                                DeviceSsspKernel::Frontier, k);
-    for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        ASSERT_EQ(got.at(u, v), ref.at(u, v))
-            << "k=" << k << " pair " << u << "," << v;
-      }
-    }
+    expect_bitwise_equal(matrix_for(g, ExecutionMode::Multicore,
+                                    CpuSsspKernel::MultiSource, k),
+                         ref, "k=" + std::to_string(k));
   }
 }
 
 TEST_P(MultiSourceSchedulerTest, HeterogeneousAutoMatchesSequential) {
   const Graph g = blocky_graph(GetParam() + 100);
   const auto ref = matrix_for(g, ExecutionMode::Sequential,
-                              CpuSsspKernel::Dijkstra,
-                              DeviceSsspKernel::Frontier, 16);
-  // Paper mode with both new kernels live: CPU workers run the Auto
+                              CpuSsspKernel::Dijkstra, 16);
+  // Paper mode with both batched paths live: CPU workers run the Auto
   // selector (batched on wide units, Dijkstra on narrow ones), the device
-  // drains bulk units through delta-stepping.
-  const auto got = matrix_for(g, ExecutionMode::Heterogeneous,
-                              CpuSsspKernel::Auto,
-                              DeviceSsspKernel::DeltaStepping, 8);
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(got.at(u, v), ref.at(u, v)) << "pair " << u << "," << v;
-    }
-  }
+  // splits its units into multi-source blocks.
+  expect_bitwise_equal(matrix_for(g, ExecutionMode::Heterogeneous,
+                                  CpuSsspKernel::Auto, 8),
+                       ref, "hetero");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiSourceSchedulerTest,
                          ::testing::Range<std::uint64_t>(1, 5));
+
+// Device split: a unit's sources go out as min(device workers, width)
+// contiguous slices. Covers units narrower than the worker count
+// (sources_per_unit = 1 on 2 or 3 workers) and units that do not divide
+// evenly (5 sources on 2 or 3 workers, 16 on 3).
+class DeviceSplitTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::uint32_t>> {};
+
+TEST_P(DeviceSplitTest, DeviceModesMatchSequentialBitwise) {
+  const auto [workers, sources_per_unit] = GetParam();
+  const Graph g = blocky_graph(7);
+  const auto ref = matrix_for(g, ExecutionMode::Sequential,
+                              CpuSsspKernel::Dijkstra, 16);
+  for (const ExecutionMode mode :
+       {ExecutionMode::DeviceOnly, ExecutionMode::Heterogeneous}) {
+    expect_bitwise_equal(
+        matrix_for(g, mode, CpuSsspKernel::Auto, sources_per_unit, workers),
+        ref,
+        mode == ExecutionMode::DeviceOnly ? "DeviceOnly" : "Heterogeneous");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersBySourcesPerUnit, DeviceSplitTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(1u, 5u, 16u)),
+    [](const auto& case_info) {
+      return "workers" + std::to_string(std::get<0>(case_info.param)) +
+             "_spu" + std::to_string(std::get<1>(case_info.param));
+    });
 
 TEST(DeltaSteppingDevice, BulkLaunchBitMatchesDijkstra) {
   const Graph g = gen::random_connected(300, 900, 11);
