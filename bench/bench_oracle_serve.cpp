@@ -139,7 +139,7 @@ struct CellResult {
   double open_p50_ns = 0, open_p90_ns = 0, open_p99_ns = 0;  ///< incl. backlog
   std::uint64_t sampled = 0;
   std::uint64_t mismatches = 0;
-  /// Latency attribution (queue_wait/schedule/kernel/recompose/write, in
+  /// Latency attribution (queue_wait/kernel/write, in
   /// obs::kAttrComponentNames order): per-query component histograms whose
   /// means sum to open_mean_ns (check_bench_smoke.py enforces 10%).
   std::array<AttrStat, obs::kNumAttrComponents> attr;
@@ -168,8 +168,8 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
       "oracle.serve.openloop.latency_ns");
   service.reset();
   open.reset();
-  // Attribution components: queue_wait/schedule/kernel/recompose come from
-  // the serving layer, `write` (result handoff) is recorded here from
+  // Attribution components: queue_wait/kernel come from the serving
+  // layer, `write` (result handoff) is recorded here from
   // QueryTrace::server_end_ns. Reset per cell so each cell's snapshot
   // block summarizes only its own queries.
   std::array<obs::Histogram*, obs::kNumAttrComponents> attr{};
@@ -309,9 +309,11 @@ void emit_json(const std::vector<CellResult>& rows, bool smoke) {
   std::fprintf(out, "{\n");
   bench::json_stamp(out);
   std::fprintf(out,
-               "  \"smoke\": %s,\n  \"graph\": \"cond_mat_2003\",\n"
+               "  \"smoke\": %s,\n  \"hardware_concurrency\": %u,\n"
+               "  \"graph\": \"cond_mat_2003\",\n"
                "  \"n\": %u,\n  \"m\": %u,\n  \"cells\": [\n",
-               smoke ? "true" : "false", g.num_vertices(), g.num_edges());
+               smoke ? "true" : "false", std::thread::hardware_concurrency(),
+               g.num_vertices(), g.num_edges());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CellResult& r = rows[i];
     std::fprintf(

@@ -1,8 +1,8 @@
 // SSSP/APSP kernel comparison on the kind of reduced graphs phase II
 // actually processes: binary-heap Dijkstra (the paper's CPU kernel), the
-// batched multi-source kernel, delta-stepping (workspace form, fanned out
-// over a shared pool), the device frontier kernel (Harish–Narayanan), and
-// the two Floyd–Warshall variants for the dense-table regime.
+// batched multi-source kernel, the device frontier kernel
+// (Harish–Narayanan), and the two Floyd–Warshall variants for the
+// dense-table regime.
 //
 // Besides the google-benchmark timings, the binary always emits a
 // machine-readable ablation into bench_results/sssp_kernels.json: full
@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -27,7 +28,6 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "reduce/reduced_graph.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/device_floyd_warshall.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/frontier_sssp.hpp"
@@ -45,13 +45,6 @@ const graph::Graph& reduced_graph() {
     return reduce::ReducedGraph(full, reduce::ReduceMode::ForApsp).graph();
   }();
   return g;
-}
-
-/// Shared pool for the parallel kernel paths (sized like the phase-II
-/// drain: bench_apsp_options' cpu_threads).
-hetero::ThreadPool& shared_pool() {
-  static hetero::ThreadPool pool(3);
-  return pool;
 }
 
 void BM_DijkstraSweep(benchmark::State& state) {
@@ -93,22 +86,6 @@ void BM_FrontierSweep(benchmark::State& state) {
   }
 }
 
-void BM_DeltaSteppingSweep(benchmark::State& state) {
-  const auto& g = reduced_graph();
-  // Workspace + shared pool: the per-call atomics allocation of the old
-  // free-function form is gone and the light-edge rounds exercise the
-  // per-slot request buffers (the path the phase-II device driver uses).
-  hetero::ThreadPool* pool = state.range(0) != 0 ? &shared_pool() : nullptr;
-  sssp::DeltaSteppingWorkspace ws(g.num_vertices());
-  std::vector<graph::Weight> dist(g.num_vertices());
-  for (auto _ : state) {
-    for (graph::VertexId s = 0; s < g.num_vertices(); s += 8) {
-      ws.distances(g, s, dist, 0, pool);
-    }
-    benchmark::DoNotOptimize(dist.data());
-  }
-}
-
 void BM_BlockedFloydWarshall(benchmark::State& state) {
   const auto& g = reduced_graph();
   for (auto _ : state) {
@@ -131,8 +108,6 @@ BENCHMARK(BM_DijkstraSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceSweep)->Arg(4)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontierSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DeltaSteppingSweep)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlockedFloydWarshall)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeviceFloydWarshall)->Arg(32)->Arg(64)
@@ -182,17 +157,6 @@ void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
         }),
         0);
   }
-  {
-    EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block");
-    sssp::DeltaSteppingWorkspace ws(n);
-    std::vector<graph::Weight> dist(n);
-    add("delta", 1, best_seconds(reps, [&] {
-          for (graph::VertexId s = 0; s < n; ++s) {
-            ws.distances(g, s, dist, 0, &shared_pool());
-          }
-        }),
-        0);
-  }
   sssp::MultiSourceWorkspace ws;
   sssp::DistanceMatrix out(n);
   const std::vector<std::uint32_t> widths =
@@ -239,8 +203,10 @@ void emit_json(bool smoke) {
   if (out == nullptr) return;
   std::fprintf(out, "{\n");
   eardec::bench::json_stamp(out);
-  std::fprintf(out, "  \"smoke\": %s,\n  \"cells\": [\n",
-               smoke ? "true" : "false");
+  std::fprintf(out,
+               "  \"smoke\": %s,\n  \"hardware_concurrency\": %u,\n"
+               "  \"cells\": [\n",
+               smoke ? "true" : "false", std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::fprintf(out,

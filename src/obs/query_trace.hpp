@@ -6,22 +6,21 @@
 // query id plus a span-id allocator and a small fixed collector of the
 // spans emitted on the query's behalf. The request owner (http_routes,
 // bench_oracle_serve) stack-allocates one, installs it with a
-// QueryTraceScope, and every span emitted below — across the oracle
-// server, and via scope re-installation inside hetero worker callbacks,
-// across thread lanes — is recorded through Tracer::record_span_linked
-// with (qid, span_id, parent_id) links. tools/critical_path.py stitches
-// the exported links back into per-query trees; obs/slow_log.hpp retains
-// the collected spans for queries sampled into the exemplar ring.
+// QueryTraceScope, and every span emitted below on that thread — the
+// request span, the oracle server's root span, the reply write — is
+// recorded through Tracer::record_span_linked with (qid, span_id,
+// parent_id) links. tools/critical_path.py stitches the exported links
+// back into per-query trees; obs/slow_log.hpp retains the collected spans
+// for queries sampled into the exemplar ring.
 //
 // Contract:
 //   * the QueryTrace must outlive every scope/span referring to it — the
-//     serving layer guarantees this because batch drains are synchronous
-//     within OracleServer::query_batch;
-//   * span-id allocation and collection are thread-safe (atomic claims),
-//     so concurrent worker lanes may emit under one query;
-//   * the thread-local context itself is per-thread: cross-thread
-//     propagation is explicit, by constructing a QueryTraceScope inside
-//     the worker callback with the parent span id to attach under.
+//     serving layer answers synchronously on the caller's thread, so the
+//     request owner's stack frame always does;
+//   * span-id allocation and collection are thread-safe (atomic claims);
+//   * the thread-local context itself is per-thread: a scope installs it
+//     for the constructing thread only, and spans attach under the
+//     innermost open QuerySpan on that thread.
 //
 // Everything here is cheap enough to stay compiled in all builds (one TLS
 // pointer, a few atomics); the tracer half of emit() is still double-gated
@@ -39,16 +38,14 @@ namespace eardec::obs {
 /// Latency attribution components every answered query decomposes into
 /// (exported as oracle.serve.attr.<name>_ns histograms; the components are
 /// contiguous, so their per-query sum equals the open-loop latency).
-inline constexpr std::size_t kNumAttrComponents = 5;
+inline constexpr std::size_t kNumAttrComponents = 3;
 inline constexpr const char* kAttrComponentNames[kNumAttrComponents] = {
-    "queue_wait", "schedule", "kernel", "recompose", "write",
+    "queue_wait", "kernel", "write",
 };
 enum class AttrComponent : std::size_t {
   kQueueWait = 0,  ///< scheduled arrival -> server entry
-  kSchedule = 1,   ///< classification + leg grouping + unit build
-  kKernel = 2,     ///< hetero drain / oracle lookup
-  kRecompose = 3,  ///< leg recomposition into distances
-  kWrite = 4,      ///< reply serialization / result handoff
+  kKernel = 1,     ///< snapshot pin + closed-form evaluation
+  kWrite = 2,      ///< reply serialization / result handoff
 };
 
 /// One collected span (a TraceEvent reduced to what the exemplar store
@@ -68,8 +65,8 @@ struct QuerySpanRecord {
 /// file comment for the lifetime/threading contract.
 class QueryTrace {
  public:
-  /// Collector capacity: enough for root + phase spans + every leg unit of
-  /// a full batch; later spans are counted but not retained.
+  /// Collector capacity: far more than the request, oracle and write spans
+  /// of any request; later spans are counted but not retained.
   static constexpr std::size_t kMaxSpans = 48;
 
   /// `arrival_ns` is the query's scheduled arrival on the Tracer::now_ns
@@ -123,15 +120,12 @@ class QueryTrace {
 /// The span id new spans on this thread should attach under (0 = root).
 [[nodiscard]] std::uint32_t current_parent_span() noexcept;
 
-/// Installs a QueryTrace (and the parent span id to attach under) as the
-/// calling thread's context for the scope's duration; restores the previous
-/// context on exit. Pass nullptr to run a scope context-free. Used at
-/// request entry and re-constructed inside hetero worker callbacks for
-/// cross-thread propagation.
+/// Installs a QueryTrace as the calling thread's context for the scope's
+/// duration, with new spans attaching at the root; restores the previous
+/// context on exit. Pass nullptr to run a scope context-free.
 class QueryTraceScope {
  public:
-  explicit QueryTraceScope(QueryTrace* trace,
-                           std::uint32_t parent_span = 0) noexcept;
+  explicit QueryTraceScope(QueryTrace* trace) noexcept;
   ~QueryTraceScope();
 
   QueryTraceScope(const QueryTraceScope&) = delete;

@@ -21,7 +21,7 @@ namespace {
 /// The `write` attribution component for HTTP-served queries: reply
 /// serialization time, from the server handing the answer back
 /// (QueryTrace::server_end_ns) to the response body being ready. The other
-/// four components are recorded inside OracleServer.
+/// two components are recorded inside OracleServer.
 obs::Histogram& attr_write() {
   static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
       "oracle.serve.attr.write_ns");
@@ -82,7 +82,7 @@ void fail(obs::HttpResponse& response, const std::string& message) {
 bool handle_single(OracleServer& server, const obs::HttpRequest& request,
                    obs::HttpResponse& response) {
   // Request context: arrival is request receipt, and every span below —
-  // including the oracle's, across worker lanes — joins this query's tree.
+  // including the oracle's — joins this query's tree.
   obs::QueryTrace qt(obs::Tracer::now_ns());
   const obs::QueryTraceScope qscope(&qt);
   const obs::QuerySpan request_span("serve.request");
@@ -98,10 +98,12 @@ bool handle_single(OracleServer& server, const obs::HttpRequest& request,
     fail(response, "s and t must be decimal vertex ids");
     return true;
   }
+  // Answer on the snapshot whose epoch the reply reports: a rebuild()
+  // between two separate pins would label epoch N+1's distance as N.
   const auto snap = server.snapshot();
   graph::Weight d = 0;
   try {
-    d = server.query(*sv, *tv);
+    d = server.query_on(*snap, *sv, *tv);
   } catch (const std::out_of_range&) {
     fail(response, "vertex id out of range");
     return true;

@@ -15,8 +15,6 @@
 #include "core/ear_apsp.hpp"
 #include "graph/generators.hpp"
 #include "hetero/thread_pool.hpp"
-#include "sssp/delta_stepping.hpp"
-#include "sssp/dijkstra.hpp"
 
 namespace eardec::core {
 namespace {
@@ -122,21 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "workers" + std::to_string(std::get<0>(case_info.param)) +
              "_spu" + std::to_string(std::get<1>(case_info.param));
     });
-
-TEST(DeltaSteppingDevice, BulkLaunchBitMatchesDijkstra) {
-  const Graph g = gen::random_connected(300, 900, 11);
-  hetero::Device dev({.workers = 3, .warp_size = 8});
-  sssp::DeltaSteppingWorkspace ws(g.num_vertices());
-  std::vector<graph::Weight> got(g.num_vertices());
-  for (VertexId s = 0; s < g.num_vertices(); s += 61) {
-    ws.distances(g, s, got, 0, nullptr, &dev);
-    const auto ref = sssp::dijkstra(g, s);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(got[v], ref.dist[v]) << "source " << s << " vertex " << v;
-    }
-  }
-  EXPECT_GT(dev.kernels_launched(), 0u);
-}
 
 TEST(ParallelForSlots, SlotsAreRaceFreePartition) {
   hetero::ThreadPool pool(3);

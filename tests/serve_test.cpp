@@ -3,8 +3,8 @@
 // test here under ThreadSanitizer: N reader threads hammering a snapshot
 // while the stats endpoint is scraped, snapshot swaps under load (readers
 // pinned to the old epoch finish on it — no use-after-free, no torn
-// answers), and bitwise determinism of the batched path across reruns,
-// engines, and execution modes.
+// answers), and bitwise equality of the batched and scalar paths across
+// execution modes.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -76,12 +76,12 @@ TEST(OracleServer, ScalarPathMatchesCompactOracle) {
   }
 }
 
-TEST(OracleServer, BatchMatchesScalarBitwiseAcrossEnginesAndModes) {
+TEST(OracleServer, BatchMatchesScalarBitwiseAcrossModes) {
   const graph::Graph g = test_graph(23);
   const std::vector<serve::Query> queries = all_pairs(g);
 
-  // Scalar reference from one server; every engine x mode combination
-  // must reproduce it bit for bit.
+  // Scalar reference from one server; every build mode must reproduce it
+  // bit for bit.
   const serve::OracleServer scalar_server(
       g, {.build = {.mode = core::ExecutionMode::Sequential}});
   std::vector<Weight> expected;
@@ -93,35 +93,12 @@ TEST(OracleServer, BatchMatchesScalarBitwiseAcrossEnginesAndModes) {
   const core::ExecutionMode modes[] = {core::ExecutionMode::Sequential,
                                        core::ExecutionMode::Multicore,
                                        core::ExecutionMode::Heterogeneous};
-  const serve::BatchEngine engines[] = {serve::BatchEngine::Tables,
-                                        serve::BatchEngine::Recompute};
   for (const auto mode : modes) {
-    for (const auto engine : engines) {
-      serve::ServeOptions opts;
-      opts.build = {.mode = mode, .cpu_threads = 3};
-      opts.batch_engine = engine;
-      opts.legs_per_unit = 9;  // multiple units per block
-      const serve::OracleServer server(g, opts);
-      const std::vector<Weight> got = server.query_batch(queries);
-      EXPECT_TRUE(bitwise_equal(got, expected))
-          << "mode " << static_cast<int>(mode) << " engine "
-          << static_cast<int>(engine);
-    }
-  }
-}
-
-TEST(OracleServer, IdenticalBatchRerunsAreBitwiseIdentical) {
-  const graph::Graph g = test_graph(5);
-  serve::ServeOptions opts;
-  opts.build = {.mode = core::ExecutionMode::Multicore, .cpu_threads = 4};
-  opts.batch_engine = serve::BatchEngine::Recompute;
-  opts.legs_per_unit = 3;  // many tiny units: maximal drain nondeterminism
-  const serve::OracleServer server(g, opts);
-  const std::vector<serve::Query> queries = all_pairs(g);
-  const std::vector<Weight> first = server.query_batch(queries);
-  for (int rerun = 0; rerun < 5; ++rerun) {
-    EXPECT_TRUE(bitwise_equal(server.query_batch(queries), first))
-        << "rerun " << rerun;
+    const serve::OracleServer server(
+        g, {.build = {.mode = mode, .cpu_threads = 3}});
+    const std::vector<Weight> got = server.query_batch(queries);
+    EXPECT_TRUE(bitwise_equal(got, expected))
+        << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -145,7 +122,7 @@ TEST(OracleServer, BatchRejectsOutOfRangeVertices) {
 }
 
 // The latency-attribution contract (docs/observability.md): with a
-// QueryTrace installed, the serving path fills server_end_ns and the four
+// QueryTrace installed, the serving path fills server_end_ns and the two
 // server-side components so they chain gaplessly from the scheduled
 // arrival — component sums must equal server_end_ns - arrival exactly,
 // and each attr histogram must have seen one observation per query.
@@ -154,11 +131,9 @@ TEST(OracleServer, QueryTraceAttributionChainsGaplessly) {
   const graph::Graph g = test_graph(13);
   const serve::OracleServer server(g, {});
   auto& reg = obs::MetricsRegistry::instance();
-  obs::Histogram* attr[4] = {
+  obs::Histogram* attr[2] = {
       &reg.histogram("oracle.serve.attr.queue_wait_ns"),
-      &reg.histogram("oracle.serve.attr.schedule_ns"),
       &reg.histogram("oracle.serve.attr.kernel_ns"),
-      &reg.histogram("oracle.serve.attr.recompose_ns"),
   };
   for (obs::Histogram* h : attr) h->reset();
 
@@ -177,13 +152,13 @@ TEST(OracleServer, QueryTraceAttributionChainsGaplessly) {
   EXPECT_GE(qt.server_end_ns, arrival);
   EXPECT_LE(qt.server_end_ns, done);
   std::uint64_t component_sum = 0;
-  for (std::size_t i = 0; i < 4; ++i) component_sum += qt.attr_ns[i];
+  for (std::size_t i = 0; i < 2; ++i) component_sum += qt.attr_ns[i];
   EXPECT_EQ(component_sum, qt.server_end_ns - arrival);
   // The write component is the caller's; the server must leave it alone.
   EXPECT_EQ(qt.attr_ns[std::size_t(obs::AttrComponent::kWrite)], 0u);
   for (obs::Histogram* h : attr) EXPECT_EQ(h->count(), queries.size());
 
-  // The scalar path fills the same contract with batch-only components 0.
+  // The scalar path fills the same contract.
   obs::QueryTrace scalar_qt(obs::Tracer::now_ns());
   {
     const obs::QueryTraceScope scope(&scalar_qt);
@@ -191,7 +166,7 @@ TEST(OracleServer, QueryTraceAttributionChainsGaplessly) {
   }
   ASSERT_NE(scalar_qt.server_end_ns, 0u);
   std::uint64_t scalar_sum = 0;
-  for (std::size_t i = 0; i < 4; ++i) scalar_sum += scalar_qt.attr_ns[i];
+  for (std::size_t i = 0; i < 2; ++i) scalar_sum += scalar_qt.attr_ns[i];
   EXPECT_EQ(scalar_sum, scalar_qt.server_end_ns - scalar_qt.arrival_ns);
 }
 
@@ -220,6 +195,7 @@ TEST(OracleServer, SnapshotSwapUnderLoadKeepsReadersConsistent) {
   }
 
   serve::OracleServer server(graphs[0], {});
+  const auto first = server.snapshot();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> failures{0};
   std::vector<std::thread> readers;
@@ -254,6 +230,20 @@ TEST(OracleServer, SnapshotSwapUnderLoadKeepsReadersConsistent) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0u);
+
+  // The server's metered entry points answer on a caller-pinned snapshot,
+  // not on the epoch published since.
+  const VertexId n = graphs[0].num_vertices();
+  std::vector<serve::Query> pairs;
+  for (VertexId s = 0; s < n; ++s) {
+    for (VertexId t = 0; t < n; ++t) pairs.push_back({s, t});
+  }
+  std::vector<Weight> via_query_on;
+  for (const serve::Query& q : pairs) {
+    via_query_on.push_back(server.query_on(*first, q.s, q.t));
+  }
+  EXPECT_TRUE(bitwise_equal(via_query_on, expected[0]));
+  EXPECT_TRUE(bitwise_equal(server.query_batch_on(*first, pairs), expected[0]));
 }
 
 #if defined(__unix__)
@@ -361,6 +351,12 @@ TEST_F(ServeHttpTest, MalformedRequestsAnswer400) {
   EXPECT_NE(
       http_request(port_, "POST", "/query/batch", "x y").find("HTTP/1.1 400"),
       std::string::npos);
+  // A valid pair before an out-of-range vertex fails the whole batch: 400
+  // and no partial distances.
+  const std::string partial = http_request(
+      port_, "POST", "/query/batch", "0 1\n0 999999999\n");
+  EXPECT_NE(partial.find("HTTP/1.1 400"), std::string::npos) << partial;
+  EXPECT_EQ(partial.find("distances"), std::string::npos) << partial;
   // GET on the batch route is a usage error, not a fall-through.
   EXPECT_NE(http_request(port_, "GET", "/query/batch").find("HTTP/1.1 400"),
             std::string::npos);
@@ -378,10 +374,39 @@ TEST_F(ServeHttpTest, BuiltInRoutesStillWorkWithHandlerRegistered) {
             std::string::npos);
 }
 
+/// The quoted value after `"key": ` in a flat JSON reply ("" if absent);
+/// unquoted values (numbers) are returned up to the next ',' or '}'.
+std::string json_field(const std::string& reply, const std::string& key) {
+  const std::string tag = "\"" + key + "\": ";
+  std::size_t at = reply.find(tag);
+  if (at == std::string::npos) return "";
+  at += tag.size();
+  if (reply[at] == '"') {
+    const std::size_t end = reply.find('"', at + 1);
+    return end == std::string::npos ? "" : reply.substr(at + 1, end - at - 1);
+  }
+  const std::size_t end = reply.find_first_of(",}", at);
+  return end == std::string::npos ? "" : reply.substr(at, end - at);
+}
+
 // The headline TSan scenario: reader threads hammer scalar and batched
 // queries, a rebuilder swaps snapshots, and the HTTP side serves /query
-// and /metrics scrapes — all concurrently.
+// and /metrics scrapes — all concurrently. Every /query reply must carry
+// the distance of the epoch it reports, however the swaps interleave.
 TEST_F(ServeHttpTest, ReadersScrapesAndSwapsRaceFreely) {
+  constexpr int kRebuilds = 3;
+  // Epoch 1 is g_, epoch k + 2 is test_graph(200 + k).
+  std::vector<std::string> want_0_3;
+  const auto reference = [&want_0_3](const graph::Graph& g) {
+    const core::DistanceOracle ref(g,
+                                   {.mode = core::ExecutionMode::Sequential});
+    want_0_3.push_back(serve::format_distance(ref.distance(0, 3)));
+  };
+  reference(g_);
+  for (int k = 0; k < kRebuilds; ++k) {
+    reference(test_graph(200 + static_cast<std::uint64_t>(k)));
+  }
+
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> failures{0};
   const std::vector<serve::Query> batch = {{0, 1}, {2, 3}, {4, 5}, {1, 0}};
@@ -391,17 +416,22 @@ TEST_F(ServeHttpTest, ReadersScrapesAndSwapsRaceFreely) {
     workers.emplace_back([&, r] {
       std::mt19937_64 rng(static_cast<std::uint64_t>(r) + 9);
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto n = server_->snapshot()->graph().num_vertices();
+        // Random ids are valid only on the epoch they were drawn from, so
+        // they are answered on that pinned snapshot; the fixed batch ids
+        // exist in every epoch and go through the unpinned entry point.
+        const auto snap = server_->snapshot();
+        const auto n = snap->graph().num_vertices();
         const auto s = static_cast<VertexId>(rng() % n);
         const auto t = static_cast<VertexId>(rng() % n);
-        (void)server_->query(s, t);
+        (void)server_->query_on(*snap, s, t);
         const auto answers = server_->query_batch(batch);
         if (answers.size() != batch.size()) ++failures;
       }
     });
   }
   std::thread rebuilder([&] {
-    for (int k = 0; k < 3 && !stop.load(std::memory_order_relaxed); ++k) {
+    for (int k = 0; k < kRebuilds && !stop.load(std::memory_order_relaxed);
+         ++k) {
       server_->rebuild(test_graph(200 + static_cast<std::uint64_t>(k)));
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -410,6 +440,14 @@ TEST_F(ServeHttpTest, ReadersScrapesAndSwapsRaceFreely) {
   for (int round = 0; round < 15; ++round) {
     const std::string one = http_request(port_, "GET", "/query?s=0&t=3");
     if (one.find("HTTP/1.1 200") == std::string::npos) ++failures;
+    const std::string epoch = json_field(one, "epoch");
+    const std::size_t e = epoch.empty() ? 0 : std::stoull(epoch);
+    if (e < 1 || e > want_0_3.size()) {
+      ADD_FAILURE() << "reply reports epoch " << e << ": " << one;
+    } else {
+      EXPECT_EQ(json_field(one, "distance"), want_0_3[e - 1])
+          << "epoch " << e << " reply: " << one;
+    }
     const std::string many =
         http_request(port_, "POST", "/query/batch", "0 1\n2 3\n");
     if (many.find("\"count\": 2") == std::string::npos) ++failures;

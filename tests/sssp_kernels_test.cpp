@@ -1,5 +1,5 @@
-// Tests for the alternative SSSP/APSP kernels: delta-stepping, the batched
-// multi-source kernel and the device blocked Floyd–Warshall. All must agree
+// Tests for the alternative SSSP/APSP kernels: the batched multi-source
+// kernel and the device blocked Floyd–Warshall. Multi-source must agree
 // exactly — bit for bit — with Dijkstra.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/device_floyd_warshall.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/multi_source.hpp"
@@ -22,60 +21,6 @@ namespace {
 namespace gen = graph::generators;
 using graph::Builder;
 using graph::Graph;
-
-class DeltaSteppingTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DeltaSteppingTest, MatchesDijkstraAcrossDeltas) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::random_connected(
-      70, static_cast<graph::EdgeId>(150 + 13 * seed), seed);
-  for (const graph::Weight delta : {0.0, 1.0, 10.0, 50.0, 1e9}) {
-    for (graph::VertexId s = 0; s < g.num_vertices(); s += 23) {
-      const auto got = delta_stepping(g, s, delta);
-      const auto ref = dijkstra(g, s);
-      for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-        ASSERT_DOUBLE_EQ(got[v], ref.dist[v])
-            << "delta " << delta << " source " << s << " vertex " << v;
-      }
-    }
-  }
-}
-
-TEST_P(DeltaSteppingTest, ParallelMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::random_connected(
-      200, static_cast<graph::EdgeId>(600 + 17 * seed), seed + 77);
-  hetero::ThreadPool pool(3);
-  const auto serial = delta_stepping(g, 0, 0);
-  const auto parallel = delta_stepping(g, 0, 0, &pool);
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_DOUBLE_EQ(parallel[v], serial[v]) << "vertex " << v;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSteppingTest,
-                         ::testing::Range<std::uint64_t>(1, 6));
-
-TEST(DeltaStepping, DisconnectedAndEdgeCases) {
-  Builder b(4);
-  b.add_edge(0, 1, 3.0);
-  const Graph g = std::move(b).build();
-  const auto d = delta_stepping(g, 0);
-  EXPECT_DOUBLE_EQ(d[1], 3.0);
-  EXPECT_EQ(d[2], graph::kInfWeight);
-  EXPECT_THROW((void)delta_stepping(g, 4), std::out_of_range);
-}
-
-TEST(DeltaStepping, ZeroWeightEdgesTerminate) {
-  Builder b(4);
-  b.add_edge(0, 1, 0.0);
-  b.add_edge(1, 2, 0.0);
-  b.add_edge(2, 3, 5.0);
-  const Graph g = std::move(b).build();
-  const auto d = delta_stepping(g, 0, 2.0);
-  EXPECT_DOUBLE_EQ(d[2], 0.0);
-  EXPECT_DOUBLE_EQ(d[3], 5.0);
-}
 
 // ---------------------------------------------------------------------------
 // Differential suites: every property family (including multigraph,
@@ -116,30 +61,6 @@ TEST_P(KernelFamilyTest, MultiSourceBitMatchesDijkstra) {
             << family_name() << " k=" << k << " source " << s << " vertex "
             << v;
       }
-    }
-  }
-}
-
-TEST_P(KernelFamilyTest, DeltaSteppingWorkspaceBitMatchesDijkstra) {
-  const Graph g = make_graph();
-  const graph::VertexId n = g.num_vertices();
-  if (n == 0) GTEST_SKIP() << "empty instance";
-  hetero::ThreadPool pool(3);
-  DeltaSteppingWorkspace serial_ws(n);
-  DeltaSteppingWorkspace pool_ws(n);
-  std::vector<graph::Weight> serial(n);
-  std::vector<graph::Weight> parallel(n);
-  for (graph::VertexId s = 0; s < n; ++s) {
-    const auto ref = dijkstra(g, s);
-    // delta = 0 -> heuristic width; degenerate-weight families rely on it
-    // to keep the bucket count bounded by the edge count.
-    serial_ws.distances(g, s, serial);
-    pool_ws.distances(g, s, parallel, 0, &pool);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      ASSERT_EQ(serial[v], ref.dist[v])
-          << family_name() << " serial source " << s << " vertex " << v;
-      ASSERT_EQ(parallel[v], ref.dist[v])
-          << family_name() << " pooled source " << s << " vertex " << v;
     }
   }
 }

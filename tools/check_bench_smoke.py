@@ -95,10 +95,14 @@ def load(path):
     return doc
 
 
-def check_table2(path):
-    doc = load(path)
+def require_hardware_concurrency(doc, path):
     require(isinstance(doc.get("hardware_concurrency"), int),
             f"{path}: hardware_concurrency missing")
+
+
+def check_table2(path):
+    doc = load(path)
+    require_hardware_concurrency(doc, path)
     datasets = doc.get("datasets")
     require(isinstance(datasets, dict) and datasets,
             f"{path}: datasets missing or empty")
@@ -132,15 +136,17 @@ def check_gf2(path):
 
 SSSP_CELL_KEYS = ("graph", "n", "m", "kernel", "k", "seconds",
                   "sources_per_s", "rounds")
-SSSP_KERNELS = ("dijkstra", "delta", "multi_source")
+SSSP_KERNELS = ("dijkstra", "multi_source")
 
 
 def check_sssp_kernels(path):
-    """Shape check for the phase-II kernel ablation: every cell carries the
-    full axis set, the kernel axis covers all three kernels, and the
-    multi-source batch-width axis has at least two widths (the selector's
-    k >= 4 claim is meaningless from a single-point sweep)."""
+    """Shape check for the phase-II kernel ablation: provenance carries the
+    host's hardware_concurrency, every cell carries the full axis set, the
+    kernel axis covers both kernels, and the multi-source batch-width axis
+    has at least two widths (the selector's k >= 4 claim is meaningless
+    from a single-point sweep)."""
     doc = load(path)
+    require_hardware_concurrency(doc, path)
     cells = doc.get("cells")
     require(isinstance(cells, list) and cells,
             f"{path}: cells missing or empty")
@@ -214,7 +220,7 @@ SERVE_CELL_KEYS = ("mix", "path", "queries", "batch", "target_qps",
                    "p99_ns", "open_mean_ns", "open_p50_ns", "open_p90_ns",
                    "open_p99_ns", "sampled", "mismatches", "attr")
 SERVE_PATHS = ("scalar", "batch")
-ATTR_COMPONENTS = ("queue_wait", "schedule", "kernel", "recompose", "write")
+ATTR_COMPONENTS = ("queue_wait", "kernel", "write")
 ATTR_STAT_KEYS = ("mean_ns", "p50_ns", "p90_ns", "p99_ns")
 ATTR_SUM_TOLERANCE = 0.10
 
@@ -223,9 +229,8 @@ def check_attr_block(cell, path, i):
     """The latency-attribution contract: every component histogram present
     with internally monotone quantiles, and the component means chaining
     gaplessly — their sum must reproduce the open-loop mean within 10% on
-    every cell (arrival -> entry -> schedule -> kernel -> recompose ->
-    write is a partition of the open-loop interval, not a sampling of
-    it)."""
+    every cell (arrival -> entry -> kernel -> write is a partition of the
+    open-loop interval, not a sampling of it)."""
     attr = cell["attr"]
     require(isinstance(attr, dict), f"{path}: cells[{i}].attr not a dict")
     component_sum = 0.0
@@ -254,11 +259,13 @@ def check_attr_block(cell, path, i):
 
 def check_oracle_serve(path):
     """Shape + correctness gate for the sustained-load serving snapshot:
-    the full mix x path grid, monotone service and open-loop quantiles,
+    the host's hardware_concurrency in the provenance, the full mix x path
+    grid, monotone service and open-loop quantiles,
     a nonzero verification sample in every cell, and zero mismatches vs
     Dijkstra anywhere (the load harness asserts this too — here it is
     re-checked from the snapshot so a stale or hand-edited file fails)."""
     doc = load(path)
+    require_hardware_concurrency(doc, path)
     cells = doc.get("cells")
     require(isinstance(cells, list) and cells,
             f"{path}: cells missing or empty")

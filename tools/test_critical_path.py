@@ -22,15 +22,16 @@ def linked(name, ts, dur, qid, span, parent, tid=1):
 
 
 def batch_tree(qid, ts=0, dur=1000):
-    """One stitched oracle.batch query: root with classify/drain/recompose
-    phases and two leg units on another lane, drain finishing last."""
+    """One stitched oracle.batch query: a root with three child stages and
+    two grandchildren on another lane under the middle stage, the last
+    stage finishing last."""
     return [
         linked("oracle.batch", ts, dur, qid, 1, 0),
-        linked("oracle.classify", ts + 10, 100, qid, 2, 1),
-        linked("oracle.drain", ts + 120, 700, qid, 3, 1),
-        linked("oracle.recompose", ts + 830, 100, qid, 4, 1),
-        linked("oracle.leg_unit", ts + 150, 300, qid, 5, 1, tid=2),
-        linked("oracle.leg_unit", ts + 460, 200, qid, 6, 1, tid=2),
+        linked("stage.first", ts + 10, 100, qid, 2, 1),
+        linked("stage.middle", ts + 120, 700, qid, 3, 1),
+        linked("stage.last", ts + 830, 100, qid, 4, 1),
+        linked("stage.unit", ts + 150, 300, qid, 5, 3, tid=2),
+        linked("stage.unit", ts + 460, 200, qid, 6, 3, tid=2),
     ]
 
 
@@ -58,10 +59,10 @@ class CriticalPathTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("1 complete trees", r.stdout)
         self.assertIn("[oracle.batch]", r.stdout)
-        # The path root -> recompose (latest-finishing child, ends at 930):
-        # recompose is a leaf so it is charged in full (100us), the root
+        # The path root -> stage.last (latest-finishing child, ends at
+        # 930): it is a leaf so it is charged in full (100us), the root
         # keeps dur - child dur = 900us.
-        self.assertIn("oracle.recompose", r.stdout)
+        self.assertIn("stage.last", r.stdout)
         self.assertIn("900.0us", r.stdout)
         self.assertIn("100.0us", r.stdout)
 
@@ -78,7 +79,7 @@ class CriticalPathTest(unittest.TestCase):
         # qid 9's root was overwritten by a ring wrap: its children point
         # at a span id that is not in the trace. Must be skipped, and with
         # no complete trees left the tool fails.
-        events = [linked("oracle.classify", 10, 100, 9, 2, 1)]
+        events = [linked("stage.first", 10, 100, 9, 2, 1)]
         r = run(events)
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("1 incomplete", r.stdout)
