@@ -132,7 +132,6 @@ void emit_json() {
     opts.mode = snap.mode;
     opts.cpu_threads = 4;
     opts.device = {.workers = 2, .warp_size = 32};
-    opts.sources_per_unit = 8;
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = Clock::now();

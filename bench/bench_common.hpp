@@ -148,13 +148,12 @@ inline const std::vector<NamedMode>& implementation_modes() {
   return modes;
 }
 
-/// Execution options used by every bench (one physical core in this
-/// container: thread counts model the paper's structure, not its scale).
+/// Execution options used by every bench: thread counts model the paper's
+/// structure, not its scale; the rest are the library defaults.
 inline core::ApspOptions bench_apsp_options(core::ExecutionMode mode) {
   return {.mode = mode,
           .cpu_threads = 3,
-          .device = {.workers = 2, .warp_size = 32},
-          .sources_per_unit = 16};
+          .device = {.workers = 2, .warp_size = 32}};
 }
 
 /// Flat key -> value cache of measured seconds, persisted as CSV so the

@@ -10,8 +10,11 @@
 // throughput and the multi-source frontier-round counts. This is the
 // evidence behind the Auto kernel selector's thresholds (docs/sssp_perf.md)
 // — the batched kernel must beat per-source Dijkstra from k >= 4 on the
-// large reduced components. `--smoke` shrinks the sweep for the CI gate
-// (tools/check_bench_smoke.py validates the snapshot's shape).
+// large reduced components. The largest cell is the dominant reduced block
+// of table1_scale(30000, 42), the component most of a perfbench
+// build_scale Phase II runs on; it sweeps a prefix of its sources.
+// `--smoke` shrinks the sweep for the CI gate (tools/check_bench_smoke.py
+// validates the snapshot's shape).
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +27,7 @@
 
 #include "bench_common.hpp"
 
+#include "connectivity/bcc.hpp"
 #include "core/ear_apsp.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -105,7 +109,7 @@ void BM_DeviceFloydWarshall(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DijkstraSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiSourceSweep)->Arg(4)->Arg(16)->Arg(32)
+BENCHMARK(BM_MultiSourceSweep)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontierSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlockedFloydWarshall)->Arg(32)->Arg(64)
@@ -122,12 +126,13 @@ struct Cell {
   graph::EdgeId m = 0;
   const char* kernel = "";
   std::uint32_t k = 1;
-  double seconds = 0;        ///< best-of-reps full source sweep
+  graph::VertexId sources = 0;  ///< sources swept: 0 .. sources-1
+  double seconds = 0;           ///< best-of-reps source sweep
   double sources_per_s = 0;
   std::uint32_t rounds = 0;  ///< multi-source frontier rounds (last batch)
 };
 
-/// Best-of-`reps` wall clock of `sweep` (which must cover all n sources).
+/// Best-of-`reps` wall clock of `sweep`.
 double best_seconds(int reps, const std::function<void()>& sweep) {
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
@@ -136,15 +141,18 @@ double best_seconds(int reps, const std::function<void()>& sweep) {
   return best;
 }
 
+/// Sweeps sources 0 .. min(max_sources, n)-1 of `g` with every kernel.
 void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
-                   std::vector<Cell>& cells) {
+                   std::vector<Cell>& cells,
+                   graph::VertexId max_sources = graph::kNullVertex) {
   const graph::VertexId n = g.num_vertices();
   if (n == 0) return;
+  const graph::VertexId sources = std::min(n, max_sources);
   const int reps = smoke ? 2 : 3;
   const auto add = [&](const char* kernel, std::uint32_t k, double seconds,
                        std::uint32_t rounds) {
-    cells.push_back({name, n, g.num_edges(), kernel, k, seconds,
-                     seconds > 0 ? static_cast<double>(n) / seconds : 0.0,
+    cells.push_back({name, n, g.num_edges(), kernel, k, sources, seconds,
+                     seconds > 0 ? static_cast<double>(sources) / seconds : 0.0,
                      rounds});
   };
 
@@ -153,23 +161,22 @@ void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
     sssp::DijkstraWorkspace ws(n);
     std::vector<graph::Weight> dist(n);
     add("dijkstra", 1, best_seconds(reps, [&] {
-          for (graph::VertexId s = 0; s < n; ++s) ws.distances(g, s, dist);
+          for (graph::VertexId s = 0; s < sources; ++s) {
+            ws.distances(g, s, dist);
+          }
         }),
         0);
   }
   sssp::MultiSourceWorkspace ws;
   sssp::DistanceMatrix out(n);
-  const std::vector<std::uint32_t> widths =
-      smoke ? std::vector<std::uint32_t>{1, 4, 8}
-            : std::vector<std::uint32_t>{1, 4, 8, 16, 32};
-  for (const std::uint32_t k : widths) {
+  for (const std::uint32_t k : {1u, 4u, 8u, sssp::kMaxSourceLanes}) {
     EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block");
     ws.ensure(n, k);
     // Sequence the measurement before reading last_rounds(): function
     // argument evaluation order would otherwise be free to read it first.
     const double seconds = best_seconds(reps, [&] {
-      for (graph::VertexId s = 0; s < n; s += k) {
-        ws.distances(g, s, std::min<graph::VertexId>(s + k, n), out);
+      for (graph::VertexId s = 0; s < sources; s += k) {
+        ws.distances(g, s, std::min<graph::VertexId>(s + k, sources), out);
       }
     });
     add("multi_source", k, seconds, ws.last_rounds());
@@ -197,6 +204,26 @@ void emit_json(bool smoke) {
     const graph::Graph g = graph::generators::random_biconnected(16, 32, 9);
     measure_graph("small_component", g, smoke, cells);
   }
+  {
+    // Dominant reduced block of the perfbench build_scale graph.
+    const graph::Graph full = graph::generators::table1_scale(
+        smoke ? 3000 : 30000, 42);
+    const auto bcc = connectivity::biconnected_components(full);
+    std::uint32_t big = 0;
+    for (std::uint32_t c = 1; c < bcc.num_components; ++c) {
+      if (bcc.component_vertices(c).size() >
+          bcc.component_vertices(big).size()) {
+        big = c;
+      }
+    }
+    const graph::Graph block =
+        connectivity::extract_component(full, bcc, big).graph;
+    const graph::Graph g =
+        reduce::ReducedGraph(block, reduce::ReduceMode::ForApsp).graph();
+    measure_graph(smoke ? "table1_3k_dominant_reduced"
+                        : "table1_30k_dominant_reduced",
+                  g, smoke, cells, smoke ? 64 : 256);
+  }
 
   std::filesystem::create_directories("bench_results");
   std::FILE* out = std::fopen("bench_results/sssp_kernels.json", "w");
@@ -211,10 +238,12 @@ void emit_json(bool smoke) {
     const Cell& c = cells[i];
     std::fprintf(out,
                  "    {\"graph\": \"%s\", \"n\": %u, \"m\": %u, "
-                 "\"kernel\": \"%s\", \"k\": %u, \"seconds\": %.6f, "
-                 "\"sources_per_s\": %.1f, \"rounds\": %u}%s\n",
-                 c.graph.c_str(), c.n, c.m, c.kernel, c.k, c.seconds,
-                 c.sources_per_s, c.rounds, i + 1 < cells.size() ? "," : "");
+                 "\"kernel\": \"%s\", \"k\": %u, \"sources\": %u, "
+                 "\"seconds\": %.6f, \"sources_per_s\": %.1f, "
+                 "\"rounds\": %u}%s\n",
+                 c.graph.c_str(), c.n, c.m, c.kernel, c.k, c.sources,
+                 c.seconds, c.sources_per_s, c.rounds,
+                 i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -159,7 +160,10 @@ struct EarApspEngine::Impl {
   // sources of one component, sized by component for the sorted queue.
   // Every CPU worker and every device block id owns one pre-sized
   // workspace (largest reduced component), so the drain performs no
-  // per-unit allocation.
+  // per-unit allocation. The units cover every source of every component,
+  // and each kernel writes its sources' whole rows, so the tables are
+  // allocated without the +inf fill: the drain's workers fault their pages
+  // in instead of one thread filling them up front.
   void process() {
     obs::ScopedPhase phase(timings.process, "apsp.process",
                            "apsp.phase.process_s");
@@ -174,7 +178,15 @@ struct EarApspEngine::Impl {
     for (std::uint32_t c = 0; c < reduced.size(); ++c) {
       const VertexId nr = reduced[c].graph().num_vertices();
       max_nr = std::max(max_nr, nr);
-      rtables[c] = DistanceMatrix(nr);
+      rtables[c] = DistanceMatrix::for_overwrite(nr);
+#ifdef EARDEC_SANITIZE_BUILD
+      // Poison: ASan cannot see a read of an unwritten entry, but a NaN
+      // left behind by a skipped row is caught after the drain.
+      for (VertexId i = 0; i < nr; ++i) {
+        std::ranges::fill(rtables[c].row(i),
+                          std::numeric_limits<Weight>::quiet_NaN());
+      }
+#endif
       sssp_runs += nr;
       for (VertexId s = 0; s < nr; s += opts.sources_per_unit) {
         const auto id = static_cast<std::uint32_t>(units.size());
@@ -188,22 +200,19 @@ struct EarApspEngine::Impl {
         pool ? std::max(1u, opts.cpu_threads) : 1;
     std::vector<sssp::DijkstraWorkspace> cpu_ws(cpu_workers);
     for (auto& ws : cpu_ws) ws.ensure(max_nr);
-    // The batched kernel processes at most kMaxSourceLanes sources per
-    // sweep; wider source ranges are split into lane-block passes.
-    const std::uint32_t ms_lanes =
-        std::min<std::uint32_t>(std::max<std::uint32_t>(
-                                    opts.sources_per_unit, 1),
-                                sssp::kMaxSourceLanes);
+    // The batched kernel processes kLanes sources per pass; wider source
+    // ranges are split into lane-block passes.
+    constexpr VertexId kLanes = sssp::kMaxSourceLanes;
     std::vector<sssp::MultiSourceWorkspace> ms_ws;
     if (opts.cpu_kernel != CpuSsspKernel::Dijkstra) {
       ms_ws.resize(cpu_workers);
-      for (auto& ws : ms_ws) ws.ensure(max_nr, ms_lanes);
+      for (auto& ws : ms_ws) ws.ensure(max_nr, kLanes);
     }
     // One device workspace per block id: the single driver thread issues
     // one grid at a time, so a block id is never live twice.
     std::vector<sssp::MultiSourceWorkspace> device_ws(
         device ? std::max(1u, device->config().workers) : 0);
-    for (auto& ws : device_ws) ws.ensure(max_nr, ms_lanes);
+    for (auto& ws : device_ws) ws.ensure(max_nr, kLanes);
 
     const auto use_multi_source = [this](VertexId width, VertexId nr) {
       switch (opts.cpu_kernel) {
@@ -220,9 +229,9 @@ struct EarApspEngine::Impl {
     const auto multi_source = [&](sssp::MultiSourceWorkspace& ws,
                                   const Unit& u, VertexId begin,
                                   VertexId end) {
-      for (VertexId s = begin; s < end; s += ms_lanes) {
+      for (VertexId s = begin; s < end; s += kLanes) {
         ws.distances(reduced[u.comp].graph(), s,
-                     std::min<VertexId>(s + ms_lanes, end), rtables[u.comp]);
+                     std::min<VertexId>(s + kLanes, end), rtables[u.comp]);
       }
     };
 
@@ -242,17 +251,22 @@ struct EarApspEngine::Impl {
     // The device runs the multi-source GPU APSP formulation: one
     // cooperative block per contiguous slice of the unit's sources, lanes
     // = sources, frontier Bellman-Ford relaxation inside the block
-    // (Okuyama, Ino, Hagihara 2008). The slices go out as one grid.
+    // (Okuyama, Ino, Hagihara 2008). The slices go out as one grid and
+    // are cut on lane-block boundaries, so every pass but the unit's last
+    // runs all kLanes lanes.
     const auto device_fn = [&](const hetero::WorkUnit& wu, unsigned) {
       EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
-      const VertexId width = u.src_end - u.src_begin;
+      const VertexId passes = (u.src_end - u.src_begin + kLanes - 1) / kLanes;
       const auto blocks = std::min<VertexId>(
-          static_cast<VertexId>(device_ws.size()), width);
+          static_cast<VertexId>(device_ws.size()), passes);
+      const auto slice_begin = [&](VertexId b) {
+        return std::min<VertexId>(u.src_begin + kLanes * (passes * b / blocks),
+                                  u.src_end);
+      };
       device->launch_blocks(blocks, 0, [&](hetero::Device::Block& block) {
         const auto b = static_cast<VertexId>(block.id());
-        multi_source(device_ws[b], u, u.src_begin + width * b / blocks,
-                     u.src_begin + width * (b + 1) / blocks);
+        multi_source(device_ws[b], u, slice_begin(b), slice_begin(b + 1));
       });
     };
 
@@ -279,6 +293,16 @@ struct EarApspEngine::Impl {
             cpu_fn, device_fn);
         break;
     }
+#ifdef EARDEC_SANITIZE_BUILD
+    for (const DistanceMatrix& t : rtables) {
+      for (VertexId i = 0; i < t.size(); ++i) {
+        if (std::ranges::any_of(t.row(i),
+                                [](Weight w) { return std::isnan(w); })) {
+          throw std::logic_error("phase II left a reduced-table row unwritten");
+        }
+      }
+    }
+#endif
   }
 
   [[nodiscard]] Weight block_distance(std::uint32_t comp, VertexId lu,
@@ -369,57 +393,78 @@ struct EarApspEngine::Impl {
     out[lu] = 0;
   }
 
-  // Phase III stage 2: distances between all articulation points, by
-  // accumulating within-block cut-to-cut distances along the (unique)
-  // block-cut tree paths from each source articulation point.
+  // Phase III stage 2: distances between all articulation points, in two
+  // stages.
+  //   A  For every block and every ordered pair (e, c) of its cut
+  //      vertices, A[e][c] = block_distance(b, e, c): within a block, d_G
+  //      equals d_B between cut vertices. Parallel over (block, row).
+  //   B  From each source AP, walk the block-cut tree. Entering block b
+  //      through cut e at distance d, every other cut c of b is at
+  //      d + A[e][c], a stage-A entry of row e. Parallel over sources.
+  // Stage B writes only entries beyond the source's own blocks, which
+  // stage A never writes, so no entry is written twice and no read races
+  // with a write. Each entry keeps the operands and the association of a
+  // walk that evaluated block_distance on every tree edge.
   void build_ap_table() {
     obs::ScopedPhase phase(timings.ap_table, "apsp.ap_table",
                            "apsp.phase.ap_table_s");
-    const auto& cuts = bct->cut_vertices();
-    const auto a = static_cast<std::uint32_t>(cuts.size());
-    ap_table.assign(static_cast<std::size_t>(a) * a, graph::kInfWeight);
+    const auto a = bct->cut_vertices().size();
+    ap_table.assign(a * a, graph::kInfWeight);
 
-    // One tree traversal per source AP; parallel across sources.
-    const auto source_walk = [&](std::size_t ai) {
-      EARDEC_TRACE_SCOPE("apsp.ap_source_walk", "source", ai);
-      Weight* row = ap_table.data() + ai * a;
-      row[ai] = 0;
-      // DFS over tree nodes, carrying the distance at the entry cut.
+    // Each block's cut vertices as (cut index, component-local id), and
+    // one stage-A job per (block, cut) of a block with at least two cuts.
+    std::vector<std::vector<std::pair<std::uint32_t, VertexId>>> block_cuts(
+        views.size());
+    parallel_over(views.size(), [&](std::size_t b) {
+      const auto& verts = views[b].to_parent;
+      for (VertexId l = 0; l < verts.size(); ++l) {
+        const std::uint32_t ci = bct->cut_index(verts[l]);
+        if (ci != connectivity::kNoComponent) block_cuts[b].emplace_back(ci, l);
+      }
+    });
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
+    for (std::uint32_t b = 0; b < block_cuts.size(); ++b) {
+      if (block_cuts[b].size() < 2) continue;
+      for (std::uint32_t i = 0; i < block_cuts[b].size(); ++i) {
+        rows.emplace_back(b, i);
+      }
+    }
+
+    parallel_over(rows.size(), [&](std::size_t j) {
+      const auto [b, i] = rows[j];
+      const auto [e, local_e] = block_cuts[b][i];
+      Weight* row = ap_table.data() + e * a;
+      for (const auto& [c, local_c] : block_cuts[b]) {
+        if (c != e) row[c] = block_distance(b, local_e, local_c);
+      }
+    });
+
+    const auto source_walk = [&](std::size_t s) {
+      EARDEC_TRACE_SCOPE("apsp.ap_source_walk", "source", s);
+      Weight* row = ap_table.data() + s * a;
+      row[s] = 0;
       struct Frame {
-        std::uint32_t node;
-        std::uint32_t from;
-        Weight dist;  // distance from source AP to this node's entry cut
+        std::uint32_t cut;   // entry cut of the blocks still to visit
+        std::uint32_t from;  // block the walk arrived from (kNone at s)
+        Weight dist;         // distance from the source AP to `cut`
       };
       constexpr std::uint32_t kNone = UINT32_MAX;
-      std::vector<Frame> stack{{bct->cut_node(static_cast<std::uint32_t>(ai)),
-                                kNone, 0.0}};
+      std::vector<Frame> stack{{static_cast<std::uint32_t>(s), kNone, 0.0}};
       while (!stack.empty()) {
         const Frame f = stack.back();
         stack.pop_back();
-        if (f.node < bct->num_blocks()) {
-          // Block node entered through cut `from` (always a cut node id).
-          const std::uint32_t b = f.node;
-          const VertexId entry_cut = cuts[f.from - bct->num_blocks()];
-          const VertexId entry_local = local_of[b].at(entry_cut);
-          for (const std::uint32_t nb : bct->neighbors(f.node)) {
-            if (nb == f.from) continue;
-            const std::uint32_t ci = nb - bct->num_blocks();
-            const VertexId cut_local = local_of[b].at(cuts[ci]);
-            const Weight d =
-                f.dist + block_distance(b, entry_local, cut_local);
-            if (d < row[ci]) row[ci] = d;
-            stack.push_back({nb, f.node, d});
-          }
-        } else {
-          // Cut node: continue into every adjacent block.
-          for (const std::uint32_t nb : bct->neighbors(f.node)) {
-            if (nb == f.from) continue;
-            stack.push_back({nb, f.node, f.dist});
+        const Weight* via = ap_table.data() + f.cut * a;
+        for (const std::uint32_t b : bct->neighbors(bct->cut_node(f.cut))) {
+          if (b == f.from) continue;
+          for (const auto& [c, local_c] : block_cuts[b]) {
+            if (c == f.cut) continue;
+            const Weight d = f.dist + via[c];
+            if (f.cut != s) row[c] = d;  // stage A wrote the source's blocks
+            stack.push_back({c, b, d});
           }
         }
       }
     };
-
     parallel_over(a, source_walk);
   }
 

@@ -14,8 +14,12 @@
 //            cooperative block per slice of a unit's sources).
 //   Phase III Stage 1: extend S^r_i to the full per-component table A_i with
 //            the closed-form left/right formulas (UPDATE_DISTANCE).
-//            Stage 2: articulation-point table A over the block-cut tree;
-//            cross-component queries route d(n1,a1) + A[a1][a2] + d(a2,n2).
+//            Stage 2: articulation-point table A. Stage A writes, per
+//            block, A[e][c] = d_B(e, c) for every ordered pair of its cut
+//            vertices; stage B walks the block-cut tree from each source
+//            AP and extends its row by d + A[entry][c] through the entry
+//            cut of each further block. Cross-component queries route
+//            d(n1,a1) + A[a1][a2] + d(a2,n2).
 //
 // Two query products are offered:
 //   * EarApsp          — paper-faithful: materializes every A_i (memory
@@ -75,7 +79,8 @@ struct ApspOptions {
   /// al. [4]. Used by that baseline and the w/o-ear ablation.
   bool use_ear_reduction = true;
   /// Sources per work unit in phase II (units are sorted by component size).
-  std::uint32_t sources_per_unit = 16;
+  /// Two full passes of the multi-source kernel's lane block.
+  std::uint32_t sources_per_unit = 32;
   std::size_t cpu_batch = 1;
   std::size_t device_batch = 4;
   /// Phase-II CPU kernel selection. Every kernel produces bit-identical

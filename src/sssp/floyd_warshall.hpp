@@ -4,8 +4,10 @@
 // graphs the ear decomposition produces.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "graph/graph.hpp"
 #include "hetero/thread_pool.hpp"
@@ -16,12 +18,25 @@ using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
 
-/// Dense n x n distance matrix with flat row-major storage.
+/// Dense n x n distance matrix with flat row-major storage. Move-only: the
+/// tables are hundreds of megabytes, so a copy is never what the caller
+/// wants.
 class DistanceMatrix {
  public:
   DistanceMatrix() = default;
-  explicit DistanceMatrix(VertexId n)
-      : n_(n), data_(static_cast<std::size_t>(n) * n, graph::kInfWeight) {}
+  /// Every entry +infinity.
+  explicit DistanceMatrix(VertexId n) : DistanceMatrix(for_overwrite(n)) {
+    std::fill_n(data_.get(), cells(), graph::kInfWeight);
+  }
+  /// Entries left unwritten, for a producer that overwrites every row
+  /// before anything reads it (Phase II): the +inf fill of a large table
+  /// is a serial pass over all of its pages.
+  [[nodiscard]] static DistanceMatrix for_overwrite(VertexId n) {
+    DistanceMatrix m;
+    m.n_ = n;
+    m.data_ = std::make_unique_for_overwrite<Weight[]>(m.cells());
+    return m;
+  }
 
   [[nodiscard]] VertexId size() const noexcept { return n_; }
   [[nodiscard]] Weight& at(VertexId i, VertexId j) {
@@ -32,18 +47,22 @@ class DistanceMatrix {
   }
   /// Row i as a contiguous span.
   [[nodiscard]] std::span<Weight> row(VertexId i) {
-    return {data_.data() + static_cast<std::size_t>(i) * n_, n_};
+    return {data_.get() + static_cast<std::size_t>(i) * n_, n_};
   }
   [[nodiscard]] std::span<const Weight> row(VertexId i) const {
-    return {data_.data() + static_cast<std::size_t>(i) * n_, n_};
+    return {data_.get() + static_cast<std::size_t>(i) * n_, n_};
   }
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return data_.size() * sizeof(Weight);
+    return cells() * sizeof(Weight);
   }
 
  private:
+  [[nodiscard]] std::size_t cells() const noexcept {
+    return static_cast<std::size_t>(n_) * n_;
+  }
+
   VertexId n_ = 0;
-  std::vector<Weight> data_;
+  std::unique_ptr<Weight[]> data_;
 };
 
 /// Adjacency-seeded matrix: 0 diagonal, min parallel-edge weight elsewhere.

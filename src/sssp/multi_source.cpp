@@ -1,53 +1,54 @@
 #include "sssp/multi_source.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <stdexcept>
 
 namespace eardec::sssp {
+namespace {
+
+constexpr std::uint32_t kLanes = kMaxSourceLanes;
+
+/// dt[lane] = min(dt[lane], dv[lane] + w) for every lane; true when some
+/// lane improved. The min keeps the old value unless the new one is
+/// strictly smaller, so a lane changed exactly when its bit pattern did:
+/// XOR-ing old and new patterns into one word is the compare, and keeps
+/// the whole loop in vector registers.
+bool relax_lanes(const Weight* dv, Weight* dt, Weight w) {
+  std::uint64_t changed = 0;
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    const Weight old = dt[lane];
+    const Weight nd = std::min(old, dv[lane] + w);
+    dt[lane] = nd;
+    changed |= std::bit_cast<std::uint64_t>(nd) ^
+               std::bit_cast<std::uint64_t>(old);
+  }
+  return changed != 0;
+}
+
+}  // namespace
 
 void MultiSourceWorkspace::ensure(VertexId num_vertices, std::uint32_t lanes) {
   if (lanes > kMaxSourceLanes) {
-    throw std::invalid_argument("MultiSourceWorkspace: lanes > 64");
+    throw std::invalid_argument("MultiSourceWorkspace: lanes > 16");
   }
   lane_capacity_ = std::max(lane_capacity_, lanes);
-  const std::size_t want =
-      static_cast<std::size_t>(num_vertices) * lane_capacity_;
+  const std::size_t want = static_cast<std::size_t>(num_vertices) * kLanes;
   if (dist_.size() < want) dist_.resize(want);
-  if (pending_.size() < num_vertices) pending_.resize(num_vertices);
+  if (queued_.size() < num_vertices) queued_.resize(num_vertices);
   frontier_.reserve(num_vertices);
   next_.reserve(num_vertices);
 }
 
 void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
                                      VertexId src_end, DistanceMatrix& out) {
-  if (src_begin >= src_end || src_end > g.num_vertices()) {
+  const VertexId n = g.num_vertices();
+  if (src_begin >= src_end || src_end > n) {
     throw std::out_of_range("MultiSourceWorkspace: bad source range");
   }
-  // Delegate to the arbitrary-source kernel; a contiguous range is just the
-  // identity lane mapping. The lane list is tiny (<= 64 entries).
-  std::array<VertexId, kMaxSourceLanes> sources;
   const std::uint32_t k = src_end - src_begin;
-  if (k > kMaxSourceLanes) {
-    throw std::invalid_argument("MultiSourceWorkspace: range wider than 64");
-  }
-  for (std::uint32_t lane = 0; lane < k; ++lane) {
-    sources[lane] = src_begin + lane;
-  }
-  distances(g, std::span<const VertexId>(sources.data(), k), out);
-}
-
-void MultiSourceWorkspace::distances(const Graph& g,
-                                     std::span<const VertexId> sources,
-                                     DistanceMatrix& out) {
-  const VertexId n = g.num_vertices();
-  const auto k = static_cast<std::uint32_t>(sources.size());
-  if (k == 0) return;
-  for (const VertexId s : sources) {
-    if (s >= n) throw std::out_of_range("MultiSourceWorkspace: bad source");
-  }
   if (k > lane_capacity_ ||
-      dist_.size() < static_cast<std::size_t>(n) * lane_capacity_) {
+      dist_.size() < static_cast<std::size_t>(n) * kLanes) {
     throw std::invalid_argument(
         "MultiSourceWorkspace: ensure() capacity too small for this batch");
   }
@@ -55,45 +56,29 @@ void MultiSourceWorkspace::distances(const Graph& g,
     throw std::invalid_argument("MultiSourceWorkspace: bad output matrix");
   }
 
-  // Lane-strided init: lane L holds source sources[L]. The block is laid
-  // out with stride k (not lane_capacity_) so one frontier round touches
-  // the densest possible cache lines for this batch width.
-  std::fill(dist_.begin(), dist_.begin() + static_cast<std::size_t>(n) * k,
+  // Lane L holds source src_begin + L; lanes k.. stay +inf throughout.
+  std::fill(dist_.begin(), dist_.begin() + static_cast<std::size_t>(n) * kLanes,
             graph::kInfWeight);
-  std::fill(pending_.begin(), pending_.begin() + n, 0);
+  std::fill(queued_.begin(), queued_.begin() + n, 0);
   frontier_.clear();
   next_.clear();
   for (std::uint32_t lane = 0; lane < k; ++lane) {
-    const VertexId s = sources[lane];
-    dist_[static_cast<std::size_t>(s) * k + lane] = 0;
-    if (pending_[s] == 0) frontier_.push_back(s);
-    pending_[s] |= std::uint64_t{1} << lane;
+    const VertexId s = src_begin + lane;
+    dist_[static_cast<std::size_t>(s) * kLanes + lane] = 0;
+    frontier_.push_back(s);
   }
 
   rounds_ = 0;
   while (!frontier_.empty()) {
     ++rounds_;
     for (const VertexId v : frontier_) {
-      pending_[v] = 0;
-      const Weight* dv = dist_.data() + static_cast<std::size_t>(v) * k;
+      queued_[v] = 0;
+      const Weight* dv = dist_.data() + static_cast<std::size_t>(v) * kLanes;
       for (const graph::HalfEdge& he : g.neighbors(v)) {
-        const Weight w = he.weight;
-        Weight* dt = dist_.data() + static_cast<std::size_t>(he.to) * k;
-        // Relax every lane unconditionally: relaxation is idempotent, so
-        // skipping clean lanes is only an optimization — doing them all
-        // keeps the loop branch-light and lets the compiler vectorize the
-        // add+compare+select over the lane block.
-        std::uint64_t changed = 0;
-        for (std::uint32_t lane = 0; lane < k; ++lane) {
-          const Weight nd = dv[lane] + w;
-          if (nd < dt[lane]) {
-            dt[lane] = nd;
-            changed |= std::uint64_t{1} << lane;
-          }
-        }
-        if (changed != 0) {
-          if (pending_[he.to] == 0) next_.push_back(he.to);
-          pending_[he.to] |= changed;
+        Weight* dt = dist_.data() + static_cast<std::size_t>(he.to) * kLanes;
+        if (relax_lanes(dv, dt, he.weight) && queued_[he.to] == 0) {
+          queued_[he.to] = 1;
+          next_.push_back(he.to);
         }
       }
     }
@@ -101,13 +86,13 @@ void MultiSourceWorkspace::distances(const Graph& g,
     next_.clear();
   }
 
-  // Transpose the lane block into the row-major output: lane-major so the
-  // writes stream sequentially through each row.
+  // Transpose the k live lanes into the row-major output: lane-major so
+  // the writes stream sequentially through each row.
   for (std::uint32_t lane = 0; lane < k; ++lane) {
-    const std::span<Weight> row = out.row(sources[lane]);
+    const std::span<Weight> row = out.row(src_begin + lane);
     const Weight* col = dist_.data() + lane;
     for (VertexId v = 0; v < n; ++v) {
-      row[v] = col[static_cast<std::size_t>(v) * k];
+      row[v] = col[static_cast<std::size_t>(v) * kLanes];
     }
   }
 }

@@ -1,26 +1,30 @@
 // Multi-source batched SSSP — the Phase-II CPU bulk kernel.
 //
 // The paper runs one binary-heap Dijkstra per reduced source because the
-// instances are independent (Section 2.1.2); independence also means k
-// sources can share a single adjacency traversal. This kernel runs k
-// sources ("lanes") at once over one cache-resident workspace: distances
-// are stored lane-strided (dist[v * k + lane], a structure-of-arrays block
-// like the bit-sliced GF(2) witness matrix of the MCB overhaul), and every
-// CSR edge scan relaxes all k lanes in one branch-free pass, so the graph
-// is streamed once per frontier round instead of once per source.
+// instances are independent (Section 2.1.2); independence also means
+// sources can share a single adjacency traversal. This kernel runs a fixed
+// block of kMaxSourceLanes sources ("lanes") at once over one
+// cache-resident workspace: distances are stored lane-strided
+// (dist[v * kMaxSourceLanes + lane], a structure-of-arrays block like the
+// bit-sliced GF(2) witness matrix of the MCB overhaul), and every CSR edge
+// scan relaxes all lanes in one branch-free pass, so the graph is streamed
+// once per frontier round instead of once per source. The width is a
+// compile-time constant, so the relaxation unrolls and vectorizes at -O3
+// without -march=native; a batch narrower than that pads its unused lanes
+// with +infinity, which no relaxation ever lowers (MS-BFS, Then et al.,
+// VLDB 2015, shares one traversal between a fixed block of lanes the same
+// way).
 //
-// Algorithmically this is label-correcting (Bellman–Ford with a frontier
-// and per-vertex dirty-lane masks) rather than label-setting: more raw
-// relaxations than Dijkstra, but each one is a vectorizable fused
-// add+min over the lane block, and the frontier mask keeps rounds sparse.
-// For non-negative weights every label-correcting fixpoint equals the
-// Dijkstra labels bit for bit (rounded addition is monotone, min is
-// exact), which the differential suite asserts across every property
-// family.
+// Algorithmically this is label-correcting (Bellman–Ford with a frontier)
+// rather than label-setting: more raw relaxations than Dijkstra, but each
+// one is a vectorizable fused add+min over the lane block, and the
+// frontier keeps rounds sparse. For non-negative weights every
+// label-correcting fixpoint equals the Dijkstra labels bit for bit
+// (rounded addition is monotone, min is exact), which the differential
+// suite asserts across every property family.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -32,8 +36,8 @@ using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
 
-/// Upper bound on sources per batch: the dirty-lane mask is one uint64.
-inline constexpr std::uint32_t kMaxSourceLanes = 64;
+/// Sources per batch: the lane width of the relaxation.
+inline constexpr std::uint32_t kMaxSourceLanes = 16;
 
 /// Reusable lane-strided workspace for APSP-style loops: runs batches of
 /// sources repeatedly without reallocating the distance block or the
@@ -49,24 +53,16 @@ class MultiSourceWorkspace {
   }
 
   /// Grows the distance block to cover graphs of up to `num_vertices`
-  /// vertices and batches of up to `lanes` sources; never shrinks.
+  /// vertices and admits batches of up to `lanes` sources (at most
+  /// kMaxSourceLanes); never shrinks.
   void ensure(VertexId num_vertices, std::uint32_t lanes);
 
   /// Computes distances from every source in [src_begin, src_end) and
   /// writes them into the matching rows of `out` (row s = distances from
   /// s). The batch width src_end - src_begin must be <= the ensured lane
-  /// count (and <= kMaxSourceLanes). Results are bit-identical to running
-  /// sssp::dijkstra per source.
+  /// count. Results are bit-identical to running sssp::dijkstra per
+  /// source.
   void distances(const Graph& g, VertexId src_begin, VertexId src_end,
-                 DistanceMatrix& out);
-
-  /// Arbitrary-source form: one lane per sources[i] (duplicates allowed),
-  /// writing row sources[i] of `out`. The phase-II drain feeds contiguous
-  /// source ranges, but the serving batch path recomputes rows for the
-  /// scattered exit anchors of a query batch — same kernel, same
-  /// bit-identical-to-Dijkstra contract, only the lane -> source mapping
-  /// generalizes. sources.size() must be <= the ensured lane count.
-  void distances(const Graph& g, std::span<const VertexId> sources,
                  DistanceMatrix& out);
 
   /// Frontier rounds used by the last run (diagnostics / bench axes).
@@ -75,8 +71,8 @@ class MultiSourceWorkspace {
  private:
   std::uint32_t lane_capacity_ = 0;
   std::uint32_t rounds_ = 0;
-  std::vector<Weight> dist_;            ///< n * lanes, lane-strided
-  std::vector<std::uint64_t> pending_;  ///< per-vertex dirty-lane mask
+  std::vector<Weight> dist_;         ///< n * kMaxSourceLanes, lane-strided
+  std::vector<std::uint8_t> queued_;  ///< vertex is on the next frontier
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_;
 };

@@ -23,13 +23,13 @@ namespace gen = graph::generators;
 using graph::Graph;
 using graph::VertexId;
 
-Graph blocky_graph(std::uint64_t seed) {
+Graph blocky_graph(std::uint64_t seed, VertexId largest_block = 48) {
   // Biconnected blocks of very different sizes glued in a tree: the work
   // queue sees both wide units (batched kernel) and tiny components
   // (Dijkstra fallback under Auto).
   gen::BlockTreeParams params;
   params.num_blocks = 6;
-  params.largest_block = 48;
+  params.largest_block = largest_block;
   params.small_block_min = 3;
   params.small_block_max = 10;
   params.pendants = 4;
@@ -91,16 +91,19 @@ TEST_P(MultiSourceSchedulerTest, HeterogeneousAutoMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiSourceSchedulerTest,
                          ::testing::Range<std::uint64_t>(1, 5));
 
-// Device split: a unit's sources go out as min(device workers, width)
-// contiguous slices. Covers units narrower than the worker count
-// (sources_per_unit = 1 on 2 or 3 workers) and units that do not divide
-// evenly (5 sources on 2 or 3 workers, 16 on 3).
+// Device split: a unit's sources go out as min(device workers, passes)
+// contiguous slices cut on 16-lane boundaries, where passes is the number
+// of lane blocks the unit spans. Covers single-pass units narrower than
+// the lane block (1 and 5 sources) and exactly one block (16), and
+// multi-pass units split across workers with a ragged last pass (17 and
+// 33 sources) or none (48). The largest block reduces to well over 48
+// vertices, so no unit is clipped below its nominal width.
 class DeviceSplitTest
     : public ::testing::TestWithParam<std::tuple<unsigned, std::uint32_t>> {};
 
 TEST_P(DeviceSplitTest, DeviceModesMatchSequentialBitwise) {
   const auto [workers, sources_per_unit] = GetParam();
-  const Graph g = blocky_graph(7);
+  const Graph g = blocky_graph(7, 120);
   const auto ref = matrix_for(g, ExecutionMode::Sequential,
                               CpuSsspKernel::Dijkstra, 16);
   for (const ExecutionMode mode :
@@ -115,7 +118,7 @@ TEST_P(DeviceSplitTest, DeviceModesMatchSequentialBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     WorkersBySourcesPerUnit, DeviceSplitTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
-                       ::testing::Values(1u, 5u, 16u)),
+                       ::testing::Values(1u, 5u, 16u, 17u, 33u, 48u)),
     [](const auto& case_info) {
       return "workers" + std::to_string(std::get<0>(case_info.param)) +
              "_spu" + std::to_string(std::get<1>(case_info.param));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <string>
 #include <tuple>
@@ -65,6 +66,30 @@ TEST_P(KernelFamilyTest, MultiSourceBitMatchesDijkstra) {
   }
 }
 
+TEST_P(KernelFamilyTest, PaddedBatchesBitMatchDijkstra) {
+  const Graph g = make_graph();
+  const graph::VertexId n = g.num_vertices();
+  if (n == 0) GTEST_SKIP() << "empty instance";
+  // Every batch narrower than the lane block runs with its unused lanes
+  // padded with +inf; the live lanes must still match Dijkstra bit for bit.
+  MultiSourceWorkspace ws(n, kMaxSourceLanes);
+  for (const std::uint32_t k : {1u, 3u, 15u, 16u}) {
+    DistanceMatrix out(n);
+    for (graph::VertexId s = 0; s < n; s += k) {
+      ws.distances(g, s, std::min<graph::VertexId>(s + k, n), out);
+    }
+    for (graph::VertexId s = 0; s < n; ++s) {
+      const auto ref = dijkstra(g, s);
+      for (graph::VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out.at(s, v)),
+                  std::bit_cast<std::uint64_t>(ref.dist[v]))
+            << family_name() << " k=" << k << " source " << s << " vertex "
+            << v;
+      }
+    }
+  }
+}
+
 std::string kernel_family_test_name(
     const ::testing::TestParamInfo<KernelFamilyTest::ParamType>& info) {
   std::string name = eardec::testing::families()[std::get<0>(info.param)].name;
@@ -88,6 +113,13 @@ TEST(MultiSource, RejectsBadBatches) {
   EXPECT_THROW(ws.distances(g, 2, 1, out), std::out_of_range);  // empty
   EXPECT_THROW(ws.distances(g, 0, 5, out), std::invalid_argument);  // > lanes
   EXPECT_THROW(ws.distances(g, 4, 8, out), std::out_of_range);
+}
+
+TEST(MultiSource, EnsureRejectsMoreLanesThanTheBlock) {
+  MultiSourceWorkspace ws;
+  EXPECT_NO_THROW(ws.ensure(8, kMaxSourceLanes));
+  EXPECT_THROW(ws.ensure(8, kMaxSourceLanes + 1), std::invalid_argument);
+  EXPECT_THROW(MultiSourceWorkspace(8, 17), std::invalid_argument);
 }
 
 TEST(MultiSource, ReportsFrontierRounds) {
