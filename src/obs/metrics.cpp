@@ -9,13 +9,28 @@
 
 namespace eardec::obs {
 
+namespace detail {
+
+std::size_t next_thread_shard() noexcept {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kThreadShards;
+}
+
+}  // namespace detail
+
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kNumBuckets; ++i) total += bucket_count(i);
+  return total;
+}
+
 double Histogram::quantile(double q) const noexcept {
   // One coherent-ish snapshot: the per-bucket loads are relaxed, so a
   // concurrent record() can land between them — acceptable for telemetry.
   std::uint64_t counts[kNumBuckets];
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    counts[i] = bucket_count(i);
     total += counts[i];
   }
   if (total == 0) return 0.0;

@@ -1,7 +1,9 @@
 #include "serve/oracle_server.hpp"
 
+#include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -14,16 +16,47 @@ namespace eardec::serve {
 struct OracleServer::Impl {
   ServeOptions options;
 
-  /// Guards the published-snapshot pointer: readers copy it, rebuild()
-  /// swaps it. A plain mutex around one shared_ptr copy keeps the epoch
-  /// swap trivially data-race-free (and TSan-obvious); the pinned snapshot
-  /// itself is immutable, so everything after the copy is lock-free.
-  mutable std::mutex snapshot_mutex;
-  std::shared_ptr<const OracleSnapshot> snapshot;
+  /// The published snapshot, pinned SRCU-style. A reader counts itself in
+  /// its thread's shard under the current parity, then loads `current`;
+  /// publish() stores the next pointer, then waits for both parities'
+  /// counts to drain, each while new readers count under the other one.
+  /// Any reader that loaded the old pointer counted itself before that
+  /// store (seq_cst orders both sides), so when the waits end nobody reads
+  /// the old snapshot. In steady state a reader writes only its own
+  /// shard's cache line.
+  struct alignas(64) ReaderCount {
+    std::atomic<std::uint64_t> n{0};
+  };
+  mutable ReaderCount readers[obs::kThreadShards][2];
+  alignas(64) std::atomic<const OracleSnapshot*> current{nullptr};
+  std::atomic<unsigned> parity{0};
 
-  /// Serializes rebuilds; also owns the epoch sequence.
+  /// Serializes rebuilds; also owns the epoch sequence and the published
+  /// snapshot's shared ownership.
   std::mutex rebuild_mutex;
   std::uint64_t last_epoch = 0;
+  std::shared_ptr<const OracleSnapshot> owner;
+
+  /// A reader's hold on the published snapshot, released on scope exit
+  /// (exceptions included).
+  class Pin {
+   public:
+    explicit Pin(const Impl& impl) noexcept
+        : count_(&impl.readers[obs::thread_shard()][impl.parity.load()].n) {
+      count_->fetch_add(1);
+      snap_ = impl.current.load();
+    }
+    ~Pin() { count_->fetch_sub(1); }
+    Pin(const Pin&) = delete;
+    Pin& operator=(const Pin&) = delete;
+
+    const OracleSnapshot& operator*() const noexcept { return *snap_; }
+    const OracleSnapshot* operator->() const noexcept { return snap_; }
+
+   private:
+    std::atomic<std::uint64_t>* count_;
+    const OracleSnapshot* snap_ = nullptr;
+  };
 
   // Metric instruments are leaked-singleton references: resolve them once.
   obs::Histogram& scalar_latency;
@@ -60,17 +93,19 @@ struct OracleServer::Impl {
         attr_kernel(obs::MetricsRegistry::instance().histogram(
             "oracle.serve.attr.kernel_ns")) {}
 
+  /// Called with rebuild_mutex held. Drops the old snapshot only after no
+  /// reader can still be on it.
   void publish(std::shared_ptr<const OracleSnapshot> next) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mutex);
-      snapshot = std::move(next);
+    current.store(next.get());
+    for (int k = 0; k < 2; ++k) {
+      const unsigned drain = parity.load();
+      parity.store(drain ^ 1u);
+      for (const auto& shard : readers) {
+        while (shard[drain].n.load() != 0) std::this_thread::yield();
+      }
     }
+    owner = std::move(next);
     epoch_gauge.set(static_cast<double>(last_epoch));
-  }
-
-  [[nodiscard]] std::shared_ptr<const OracleSnapshot> pin() const {
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    return snapshot;
   }
 
   /// The queue_wait start: the installed QueryTrace's scheduled arrival
@@ -167,11 +202,13 @@ OracleServer::OracleServer(graph::Graph g, ServeOptions options)
 OracleServer::~OracleServer() = default;
 
 std::shared_ptr<const OracleSnapshot> OracleServer::snapshot() const {
-  return impl_->pin();
+  const Impl::Pin snap(*impl_);
+  return snap->shared_from_this();
 }
 
 std::uint64_t OracleServer::epoch() const noexcept {
-  return impl_->pin()->epoch();
+  const Impl::Pin snap(*impl_);
+  return snap->epoch();
 }
 
 void OracleServer::rebuild(graph::Graph g) {
@@ -186,10 +223,10 @@ void OracleServer::rebuild(graph::Graph g) {
 }
 
 Weight OracleServer::query(VertexId s, VertexId t) const {
-  // The kernel bracket starts before pin() so the snapshot copy has no
-  // unattributed gap.
+  // The kernel bracket starts before the pin so it has no unattributed
+  // gap.
   const std::uint64_t entry_ns = obs::Tracer::now_ns();
-  const auto snap = impl_->pin();
+  const Impl::Pin snap(*impl_);
   return impl_->answer(*snap, s, t, entry_ns);
 }
 
@@ -200,7 +237,7 @@ Weight OracleServer::query_on(const OracleSnapshot& snap, VertexId s,
 
 std::vector<Weight> OracleServer::query_batch(
     std::span<const Query> queries) const {
-  const auto snap = impl_->pin();
+  const Impl::Pin snap(*impl_);
   return impl_->answer_batch(*snap, queries);
 }
 

@@ -1,13 +1,14 @@
 // Online distance-oracle serving — the read-mostly query layer on top of
 // the compact DistanceOracle (see docs/serving.md).
 //
-// OracleServer owns an immutable OracleSnapshot behind a shared_ptr: every
-// reader pins the snapshot it resolves (snapshot() or implicitly per
-// query), rebuild() publishes a freshly built snapshot under the next
-// epoch, and readers still holding the old one finish on it — the old
-// build is freed when its last reader drops the reference. Nothing in a
-// published snapshot is ever mutated, so queries need no locks beyond the
-// one pointer copy.
+// OracleServer owns an immutable OracleSnapshot and publishes it through
+// one atomic pointer: every reader pins the snapshot it resolves (per
+// query, or with snapshot() for longer), rebuild() publishes a freshly
+// built snapshot under the next epoch, and readers still on the old one
+// finish on it. A per-query pin takes no lock and writes only a reader
+// count in the calling thread's shard. rebuild() waits for the old
+// snapshot's readers to drain and frees it before it returns, unless a
+// snapshot() caller still holds it; then the last holder frees it.
 //
 // Two query paths, both the paper's O(1) closed form (block legs plus the
 // articulation-point table through the block-cut tree):
@@ -53,8 +54,9 @@ struct ServeOptions {
 /// One immutable published build: the input graph plus the compact oracle
 /// over it, stamped with its epoch. Everything here is read-only after
 /// construction, so any number of threads may query a pinned snapshot
-/// concurrently (EarApspEngine's const queries are thread-safe).
-class OracleSnapshot {
+/// concurrently (EarApspEngine's const queries are thread-safe). The server
+/// owns it through a shared_ptr, which snapshot() shares.
+class OracleSnapshot : public std::enable_shared_from_this<OracleSnapshot> {
  public:
   OracleSnapshot(graph::Graph g, const core::ApspOptions& build,
                  std::uint64_t epoch)
@@ -90,6 +92,8 @@ class OracleServer {
 
   /// Pins the current snapshot. The returned pointer stays valid (and its
   /// answers stay self-consistent) across any number of later rebuilds.
+  /// Costs a shared reference count on top of a per-query pin; query(),
+  /// query_batch() and epoch() do not take one.
   [[nodiscard]] std::shared_ptr<const OracleSnapshot> snapshot() const;
 
   /// Epoch of the currently published snapshot (monotonically increasing).
@@ -97,8 +101,10 @@ class OracleServer {
 
   /// Builds a snapshot from `g` off to the side, then publishes it under
   /// the next epoch. Readers that pinned the old snapshot drain on it;
-  /// new resolutions see the new one. Safe against concurrent queries;
-  /// concurrent rebuilds serialize.
+  /// new resolutions see the new one. Returns once no query or batch still
+  /// reads the old snapshot, which is freed by then unless a snapshot()
+  /// caller holds it. Safe against concurrent queries; concurrent rebuilds
+  /// serialize.
   void rebuild(graph::Graph g);
 
   /// Scalar path: resolve the current snapshot, answer s-t through the

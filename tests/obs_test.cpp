@@ -660,6 +660,103 @@ TEST(ObsRegistry, CsvExportContainsInstrumentRows) {
             std::string::npos);
 }
 
+// Counter and Histogram keep one cell per thread shard. With more writer
+// threads than shards, threads share cells; the totals must still be
+// exact, and every reader and export must sum all the cells.
+TEST(ObsRegistry, ShardedInstrumentsStayExactWithMoreThreadsThanShards) {
+  constexpr int kThreads = 2 * static_cast<int>(obs::kThreadShards) + 1;
+  constexpr int kPerThread = 2000;
+  constexpr std::uint64_t kBatch = 3;
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Counter& c = reg.counter("obs_test.sharded_counter");
+  obs::Histogram& h = reg.histogram("obs_test.sharded_histo");
+  c.reset();
+  h.reset();
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    writers.emplace_back([&c, &h, &go, w] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const auto id = static_cast<std::uint64_t>(w);
+      for (int i = 0; i < kPerThread; ++i) {
+        c.add(id + 1);
+        h.record(static_cast<std::uint64_t>(i % 100));
+      }
+      h.record_n(id * 1000, kBatch);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : writers) t.join();
+
+  // The same records, tallied by hand.
+  std::uint64_t want_value = 0;
+  std::uint64_t want_sum = 0;
+  std::vector<std::uint64_t> want_buckets(obs::Histogram::kNumBuckets, 0);
+  for (int w = 0; w < kThreads; ++w) {
+    const auto id = static_cast<std::uint64_t>(w);
+    want_value += (id + 1) * kPerThread;
+    for (int i = 0; i < kPerThread; ++i) {
+      const auto v = static_cast<std::uint64_t>(i % 100);
+      ++want_buckets[obs::Histogram::bucket_index(v)];
+      want_sum += v;
+    }
+    want_buckets[obs::Histogram::bucket_index(id * 1000)] += kBatch;
+    want_sum += id * 1000 * kBatch;
+  }
+  const std::uint64_t want_count =
+      static_cast<std::uint64_t>(kThreads) * (kPerThread + kBatch);
+  EXPECT_EQ(c.value(), want_value);
+  EXPECT_EQ(h.count(), want_count);
+  EXPECT_EQ(h.sum(), want_sum);
+  for (std::size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h.bucket_count(i), want_buckets[i]) << "bucket " << i;
+  }
+
+  // The exports report the summed totals.
+  std::ostringstream json;
+  reg.write_json(json);
+  const JsonValue doc = JsonParser(json.str()).parse();
+  const JsonObject& root = doc.obj();
+  EXPECT_DOUBLE_EQ(
+      root.at("counters").obj().at("obs_test.sharded_counter").num(),
+      static_cast<double>(want_value));
+  const JsonObject& histo =
+      root.at("histograms").obj().at("obs_test.sharded_histo").obj();
+  EXPECT_DOUBLE_EQ(histo.at("count").num(), static_cast<double>(want_count));
+  EXPECT_DOUBLE_EQ(histo.at("sum").num(), static_cast<double>(want_sum));
+  for (const JsonValue& b : histo.at("buckets").arr()) {
+    const auto le = static_cast<std::uint64_t>(b.obj().at("le").num());
+    EXPECT_DOUBLE_EQ(
+        b.obj().at("count").num(),
+        static_cast<double>(want_buckets[obs::Histogram::bucket_index(le)]))
+        << "le " << le;
+  }
+  std::ostringstream prom;
+  reg.write_prometheus(prom);
+  const std::string text = prom.str();
+  const std::string p = "eardec_obs_test_sharded_";
+  EXPECT_NE(text.find(p + "counter " + std::to_string(want_value) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find(p + "histo_count " + std::to_string(want_count) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find(p + "histo_sum " + std::to_string(want_sum) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find(p + "histo_bucket{le=\"+Inf\"} " +
+                      std::to_string(want_count) + "\n"),
+            std::string::npos);
+
+  // reset() zeroes every shard, not just the calling thread's.
+  c.reset();
+  h.reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  for (std::size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h.bucket_count(i), 0u) << "bucket " << i;
+  }
+}
+
 // --- linked spans & per-query trace context -----------------------------
 
 TEST_F(ObsTracerTest, LinkedSpanSnapshotAndExportCarryTreeIds) {

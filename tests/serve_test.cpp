@@ -5,6 +5,7 @@
 // pinned to the old epoch finish on it — no use-after-free, no torn
 // answers), and bitwise equality of the batched and scalar paths across
 // execution modes.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -173,7 +174,7 @@ TEST(OracleServer, QueryTraceAttributionChainsGaplessly) {
 // The epoch-swap contract under load: readers pin a snapshot and their
 // answers stay bit-identical to that epoch's reference even while newer
 // epochs are published; the published epoch only moves forward. TSan
-// (label hetero) holds the shared_ptr swap to being data-race-free and the
+// (label hetero) holds the pointer swap to being data-race-free and the
 // drained old snapshots to being freed exactly once.
 TEST(OracleServer, SnapshotSwapUnderLoadKeepsReadersConsistent) {
   constexpr int kEpochs = 4;
@@ -244,6 +245,109 @@ TEST(OracleServer, SnapshotSwapUnderLoadKeepsReadersConsistent) {
   }
   EXPECT_TRUE(bitwise_equal(via_query_on, expected[0]));
   EXPECT_TRUE(bitwise_equal(server.query_batch_on(*first, pairs), expected[0]));
+}
+
+// The per-query pin under rebuilds: readers go through the server's own
+// entry points (query, query_batch, epoch), never through snapshot(), so
+// nothing but the pin keeps an old snapshot alive. Every answer must be
+// bitwise the reference of an epoch published while it was served, a
+// batch must come whole from one epoch, and rebuild() must have freed the
+// previous snapshot by the time it returns. TSan and ASan (label hetero,
+// tier-1) watch for a reader still on a freed snapshot.
+TEST(OracleServer, RebuildDrainsPinnedReadersAndFreesOldSnapshot) {
+  constexpr int kEpochs = 4;
+  constexpr int kReaders = 4;
+  constexpr std::uint64_t kQueriesPerEpoch = 2000;
+  std::vector<graph::Graph> graphs;
+  std::vector<std::vector<Weight>> expected(kEpochs);
+  std::vector<VertexId> sizes;
+  for (int k = 0; k < kEpochs; ++k) {
+    graphs.push_back(test_graph(300 + static_cast<std::uint64_t>(k), 30));
+    const core::DistanceOracle ref(graphs.back(),
+                                   {.mode = core::ExecutionMode::Sequential});
+    const VertexId n = graphs.back().num_vertices();
+    sizes.push_back(n);
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        expected[static_cast<std::size_t>(k)].push_back(ref.distance(s, t));
+      }
+    }
+  }
+  // Pairs valid on every epoch, so no query throws.
+  const VertexId n = *std::min_element(sizes.begin(), sizes.end());
+  // True iff `got` is epoch e's answer for s-t, for some e in [lo, hi].
+  const auto from_epochs = [&](std::uint64_t lo, std::uint64_t hi,
+                               VertexId s, VertexId t, Weight got) {
+    for (std::uint64_t e = lo; e <= hi; ++e) {
+      const Weight want = expected[e - 1][static_cast<std::size_t>(s) *
+                                              sizes[e - 1] +
+                                          t];
+      if (std::memcmp(&got, &want, sizeof(Weight)) == 0) return true;
+    }
+    return false;
+  };
+
+  serve::OracleServer server(graphs[0], {});
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(r) + 7);
+      std::uint64_t last_epoch = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::uint64_t before = server.epoch();
+        if (before < last_epoch) ++failures;  // epoch must be monotone
+        std::vector<serve::Query> batch(1 + rng() % 8);
+        for (serve::Query& q : batch) {
+          q = {static_cast<VertexId>(rng() % n),
+               static_cast<VertexId>(rng() % n)};
+        }
+        const Weight one = server.query(batch[0].s, batch[0].t);
+        const std::vector<Weight> many = server.query_batch(batch);
+        const std::uint64_t after = server.epoch();
+        if (after < before) ++failures;
+        last_epoch = after;
+        if (!from_epochs(before, after, batch[0].s, batch[0].t, one)) {
+          ++failures;
+        }
+        // One pin per batch: the whole batch answers from one epoch.
+        bool whole = false;
+        for (std::uint64_t e = before; e <= after && !whole; ++e) {
+          whole = true;
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            whole = whole && from_epochs(e, e, batch[i].s, batch[i].t,
+                                         many[i]);
+          }
+        }
+        if (!whole) ++failures;
+        answered.fetch_add(1 + batch.size(), std::memory_order_relaxed);
+      }
+    });
+  }
+  const auto wait_for_answers = [&] {
+    const std::uint64_t from = answered.load();
+    while (answered.load() < from + kQueriesPerEpoch) {
+      std::this_thread::yield();
+    }
+  };
+  for (int k = 1; k < kEpochs; ++k) {
+    wait_for_answers();
+    const std::weak_ptr<const serve::OracleSnapshot> previous =
+        server.snapshot();
+    EXPECT_FALSE(previous.expired());
+    server.rebuild(graphs[static_cast<std::size_t>(k)]);
+    // Readers were querying throughout; none pins via snapshot(), so the
+    // old build is gone as soon as rebuild() returns.
+    EXPECT_TRUE(previous.expired()) << "epoch " << k;
+    EXPECT_EQ(server.epoch(), static_cast<std::uint64_t>(k) + 1);
+  }
+  wait_for_answers();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
 }
 
 #if defined(__unix__)
