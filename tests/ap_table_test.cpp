@@ -117,8 +117,11 @@ Graph with_real_weights(const Graph& g, std::uint64_t seed) {
   return std::move(b).build();
 }
 
+// The family name is a std::string, not a const char*: gtest prints a
+// char-pointer parameter with its address, which would put a different
+// test name in every discovery run.
 class ApTableFamilyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(ApTableFamilyTest, MatchesPerEdgeWalkBitwise) {
@@ -136,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "parallel_multi", "disconnected"),
                        ::testing::Values<std::uint64_t>(1, 2)),
     [](const auto& case_info) {
-      return std::string(std::get<0>(case_info.param)) + "_seed" +
+      return std::get<0>(case_info.param) + "_seed" +
              std::to_string(std::get<1>(case_info.param));
     });
 
