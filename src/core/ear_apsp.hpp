@@ -11,7 +11,9 @@
 //            reduced vertex, scheduled heterogeneously through the work
 //            queue (CPU threads run Dijkstra or the batched multi-source
 //            kernel; the device runs the multi-source kernel as one
-//            cooperative block per slice of a unit's sources).
+//            cooperative block per slice of a unit's sources). Sources
+//            drain in at most 16 waves; a later wave takes its distances
+//            to earlier waves' sources from their finished rows.
 //   Phase III Stage 1: extend S^r_i to the full per-component table A_i with
 //            the closed-form left/right formulas (UPDATE_DISTANCE).
 //            Stage 2: articulation-point table A. Stage A writes, per
@@ -60,7 +62,9 @@ enum class ExecutionMode {
   Heterogeneous,  ///< work queue drained by CPU threads + device (paper mode)
 };
 
-/// Which SSSP kernel the phase-II CPU workers run per work unit.
+/// Which SSSP kernel the phase-II CPU workers run per work unit of a
+/// component's first wave; later waves are seeded from finished rows and
+/// always run the batched multi-source kernel.
 enum class CpuSsspKernel {
   /// Batched multi-source for wide units on large reduced components,
   /// per-source Dijkstra otherwise (small/irregular components where the

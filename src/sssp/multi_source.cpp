@@ -41,10 +41,15 @@ void MultiSourceWorkspace::ensure(VertexId num_vertices, std::uint32_t lanes) {
 }
 
 void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
-                                     VertexId src_end, DistanceMatrix& out) {
+                                     VertexId src_end, DistanceMatrix& out,
+                                     VertexId known_end) {
   const VertexId n = g.num_vertices();
   if (src_begin >= src_end || src_end > n) {
     throw std::out_of_range("MultiSourceWorkspace: bad source range");
+  }
+  if (known_end > src_begin) {
+    throw std::invalid_argument(
+        "MultiSourceWorkspace: known vertices overlap the sources");
   }
   const std::uint32_t k = src_end - src_begin;
   if (k > lane_capacity_ ||
@@ -57,11 +62,24 @@ void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
   }
 
   // Lane L holds source src_begin + L; lanes k.. stay +inf throughout.
-  std::fill(dist_.begin(), dist_.begin() + static_cast<std::size_t>(n) * kLanes,
-            graph::kInfWeight);
-  std::fill(queued_.begin(), queued_.begin() + n, 0);
+  // A known vertex t takes d(s, t) = d(t, s) from its finished row, and
+  // starts on the frontier only if it borders an unknown vertex.
   frontier_.clear();
   next_.clear();
+  for (VertexId t = 0; t < known_end; ++t) {
+    Weight* dt = dist_.data() + static_cast<std::size_t>(t) * kLanes;
+    std::copy_n(out.row(t).data() + src_begin, k, dt);
+    std::fill(dt + k, dt + kLanes, graph::kInfWeight);
+    if (std::ranges::any_of(g.neighbors(t), [&](const graph::HalfEdge& he) {
+          return he.to >= known_end;
+        })) {
+      frontier_.push_back(t);
+    }
+  }
+  std::fill(dist_.begin() + static_cast<std::size_t>(known_end) * kLanes,
+            dist_.begin() + static_cast<std::size_t>(n) * kLanes,
+            graph::kInfWeight);
+  std::fill(queued_.begin(), queued_.begin() + n, 0);
   for (std::uint32_t lane = 0; lane < k; ++lane) {
     const VertexId s = src_begin + lane;
     dist_[static_cast<std::size_t>(s) * kLanes + lane] = 0;
@@ -69,12 +87,15 @@ void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
   }
 
   rounds_ = 0;
+  visits_ = 0;
   while (!frontier_.empty()) {
     ++rounds_;
+    visits_ += frontier_.size();
     for (const VertexId v : frontier_) {
       queued_[v] = 0;
       const Weight* dv = dist_.data() + static_cast<std::size_t>(v) * kLanes;
       for (const graph::HalfEdge& he : g.neighbors(v)) {
+        if (he.to < known_end) continue;
         Weight* dt = dist_.data() + static_cast<std::size_t>(he.to) * kLanes;
         if (relax_lanes(dv, dt, he.weight) && queued_[he.to] == 0) {
           queued_[he.to] = 1;

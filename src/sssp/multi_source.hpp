@@ -22,6 +22,11 @@
 // label-correcting fixpoint equals the Dijkstra labels bit for bit
 // (rounded addition is monotone, min is exact), which the differential
 // suite asserts across every property family.
+//
+// A pass may also start from rows of the table that are already finished
+// (d(s, t) = d(t, s) in an undirected graph) and solve only the vertices
+// those rows do not cover; see distances() and docs/sssp_perf.md,
+// "Mirror-seeded waves".
 #pragma once
 
 #include <cstdint>
@@ -62,15 +67,26 @@ class MultiSourceWorkspace {
   /// s). The batch width src_end - src_begin must be <= the ensured lane
   /// count. Results are bit-identical to running sssp::dijkstra per
   /// source.
+  ///
+  /// With known_end > 0, rows [0, known_end) of `out` must already hold
+  /// finished distances, at least in columns [src_begin, src_end): vertex
+  /// t < known_end takes out(t, s) as d(s, t) and is never relaxed. The
+  /// rest of each row is then the shortest extension of those mirrored
+  /// entries, bit-identical to Dijkstra whenever the mirrored entries are
+  /// (integer weights). known_end must not exceed src_begin
+  /// (std::invalid_argument).
   void distances(const Graph& g, VertexId src_begin, VertexId src_end,
-                 DistanceMatrix& out);
+                 DistanceMatrix& out, VertexId known_end = 0);
 
   /// Frontier rounds used by the last run (diagnostics / bench axes).
   [[nodiscard]] std::uint32_t last_rounds() const noexcept { return rounds_; }
+  /// Frontier vertices scanned by the last run, summed over its rounds.
+  [[nodiscard]] std::uint64_t last_visits() const noexcept { return visits_; }
 
  private:
   std::uint32_t lane_capacity_ = 0;
   std::uint32_t rounds_ = 0;
+  std::uint64_t visits_ = 0;
   std::vector<Weight> dist_;         ///< n * kMaxSourceLanes, lane-strided
   std::vector<std::uint8_t> queued_;  ///< vertex is on the next frontier
   std::vector<VertexId> frontier_;

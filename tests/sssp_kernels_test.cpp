@@ -1,11 +1,14 @@
 // Tests for the alternative SSSP/APSP kernels: the batched multi-source
 // kernel and the device blocked Floyd–Warshall. Multi-source must agree
-// exactly — bit for bit — with Dijkstra.
+// exactly — bit for bit — with Dijkstra, also when seeded from finished
+// rows on integer weights.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -15,6 +18,7 @@
 #include "sssp/dijkstra.hpp"
 #include "sssp/multi_source.hpp"
 #include "testing/families.hpp"
+#include "testing/oracles.hpp"
 
 namespace eardec::sssp {
 namespace {
@@ -90,6 +94,72 @@ TEST_P(KernelFamilyTest, PaddedBatchesBitMatchDijkstra) {
   }
 }
 
+bool integer_weights(const Graph& g) {
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (g.weight(e) != std::floor(g.weight(e))) return false;
+  }
+  return true;
+}
+
+TEST_P(KernelFamilyTest, SeededPassesMatchDijkstra) {
+  const Graph g = make_graph();
+  const graph::VertexId n = g.num_vertices();
+  if (n == 0) GTEST_SKIP() << "empty instance";
+  // Mirrored entries are exact for integer weights; otherwise an entry
+  // seeded across known_end is a sum taken in the other direction.
+  const bool exact = integer_weights(g);
+  const graph::Weight tol = eardec::testing::distance_tolerance(g);
+  DistanceMatrix ref(n);
+  for (graph::VertexId s = 0; s < n; ++s) {
+    std::ranges::copy(dijkstra(g, s).dist, ref.row(s).begin());
+  }
+  // Rows below the first solved source come from the Dijkstra table; the
+  // rest are poisoned, then solved in passes of k seeded from everything
+  // below known_end: nothing (0), the first 16 rows, or every earlier row
+  // (src_begin, so each pass also reads the rows the kernel wrote).
+  enum class Known { Zero, Sixteen, SrcBegin };
+  MultiSourceWorkspace ws(n, kMaxSourceLanes);
+  for (const std::uint32_t k : {1u, 7u, 16u}) {
+    for (const Known known : {Known::Zero, Known::Sixteen, Known::SrcBegin}) {
+      const graph::VertexId first =
+          known == Known::Sixteen ? std::min<graph::VertexId>(16, n) : 0;
+      DistanceMatrix out(n);
+      for (graph::VertexId s = 0; s < n; ++s) {
+        if (s < first) {
+          std::ranges::copy(ref.row(s), out.row(s).begin());
+        } else {
+          std::ranges::fill(out.row(s),
+                            std::numeric_limits<graph::Weight>::quiet_NaN());
+        }
+      }
+      for (graph::VertexId s = first; s < n; s += k) {
+        const graph::VertexId known_end =
+            known == Known::Zero ? 0 : known == Known::Sixteen ? first : s;
+        ws.distances(g, s, std::min<graph::VertexId>(s + k, n), out,
+                     known_end);
+      }
+      for (graph::VertexId s = 0; s < n; ++s) {
+        for (graph::VertexId v = 0; v < n; ++v) {
+          const auto where = [&] {
+            return family_name() + " k=" + std::to_string(k) + " known " +
+                   std::to_string(static_cast<int>(known)) + " source " +
+                   std::to_string(s) + " vertex " + std::to_string(v);
+          };
+          if (exact) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out.at(s, v)),
+                      std::bit_cast<std::uint64_t>(ref.at(s, v)))
+                << where();
+          } else {
+            ASSERT_TRUE(
+                eardec::testing::weights_close(out.at(s, v), ref.at(s, v), tol))
+                << where() << ": " << out.at(s, v) << " vs " << ref.at(s, v);
+          }
+        }
+      }
+    }
+  }
+}
+
 std::string kernel_family_test_name(
     const ::testing::TestParamInfo<KernelFamilyTest::ParamType>& info) {
   std::string name = eardec::testing::families()[std::get<0>(info.param)].name;
@@ -113,6 +183,9 @@ TEST(MultiSource, RejectsBadBatches) {
   EXPECT_THROW(ws.distances(g, 2, 1, out), std::out_of_range);  // empty
   EXPECT_THROW(ws.distances(g, 0, 5, out), std::invalid_argument);  // > lanes
   EXPECT_THROW(ws.distances(g, 4, 8, out), std::out_of_range);
+  // Known vertices must all lie below the first source.
+  EXPECT_THROW(ws.distances(g, 2, 4, out, 3), std::invalid_argument);
+  EXPECT_NO_THROW(ws.distances(g, 2, 4, out, 2));
 }
 
 TEST(MultiSource, EnsureRejectsMoreLanesThanTheBlock) {
