@@ -85,14 +85,11 @@ void publish_stats(const SchedulerStats& stats) {
   static obs::Counter& cpu_claims = reg.counter("hetero.scheduler.cpu_claims");
   static obs::Counter& device_claims =
       reg.counter("hetero.scheduler.device_claims");
-  static obs::Gauge& elapsed = reg.gauge("hetero.scheduler.elapsed_s");
-  static obs::Gauge& utilization = reg.gauge("hetero.scheduler.utilization");
   cpu_units.add(stats.cpu_units);
   device_units.add(stats.device_units);
   cpu_claims.add(stats.cpu_claims);
   device_claims.add(stats.device_claims);
-  elapsed.set(stats.elapsed_seconds);
-  utilization.set(stats.utilization());
+  publish_gauges(stats);
 }
 
 /// Times one drain around `run`, which fills the per-worker counters of
@@ -120,6 +117,14 @@ SchedulerStats timed_drain(WorkQueue& queue, SchedulerStats stats,
 }
 
 }  // namespace
+
+void publish_gauges(const SchedulerStats& stats) {
+  auto& reg = obs::MetricsRegistry::instance();
+  static obs::Gauge& elapsed = reg.gauge("hetero.scheduler.elapsed_s");
+  static obs::Gauge& utilization = reg.gauge("hetero.scheduler.utilization");
+  elapsed.set(stats.elapsed_seconds);
+  utilization.set(stats.utilization());
+}
 
 double SchedulerStats::utilization() const {
   if (elapsed_seconds <= 0) return 0;

@@ -94,6 +94,12 @@ struct SchedulerStats {
                   RunOverlap overlap = RunOverlap::Sequential);
 };
 
+/// Sets the hetero.scheduler.elapsed_s and .utilization gauges from
+/// `stats`. Every drain publishes its own; a caller that runs one logical
+/// drain as several back-to-back ones republishes their accumulated stats,
+/// so the gauges describe the whole run rather than its last piece.
+void publish_gauges(const SchedulerStats& stats);
+
 /// A unit callback: `unit` to execute, `worker` the stable index of the
 /// executing worker within its side (CPU workers 0..cpu_threads-1; the
 /// device driver always passes 0).
